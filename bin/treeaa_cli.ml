@@ -659,36 +659,7 @@ let campaign_run_cmd =
               record)
           (Recorder.failing_cells result));
     write_stream_to out (fun oc -> Campaign.write_jsonl oc result);
-    (* In-process --status-out: fold every outcome through the same
-       [record_cell] the service coordinator uses, then write the status
-       and Prometheus files once at completion — the deterministic
-       campaign_* series are bit-identical to any service run's. *)
-    (match status_out with
-    | None -> ()
-    | Some path ->
-        let registry = Obs.Metrics.create () in
-        Array.iter
-          (fun (tr : Campaign.task_result) ->
-            Obs.Metrics.record_cell registry
-              (Result.map Campaign.json_of_outcome tr.Campaign.result))
-          result.Campaign.results;
-        let snap = Obs.Metrics.snapshot registry in
-        let status_json =
-          Telemetry.Json.Obj
-            [
-              ("type", Telemetry.Json.Str "campaign-status");
-              ("format_version", Telemetry.Json.Num 1.);
-              ("name", Telemetry.Json.Str name);
-              ("status", Telemetry.Json.Str "completed");
-              ("cells_total", Telemetry.Json.Num (float_of_int reps));
-              ("cells_done", Telemetry.Json.Num (float_of_int reps));
-              ("metrics", Obs.Metrics.Snapshot.to_json snap);
-            ]
-        in
-        Obs.Metrics.write_atomic ~path
-          (Telemetry.Json.to_string status_json ^ "\n");
-        Obs.Metrics.write_atomic ~path:(path ^ ".prom")
-          (Obs.Metrics.Snapshot.to_prometheus snap));
+    Option.iter (fun path -> Service.write_status ~path result) status_out;
     aggregate_summary name result.Campaign.aggregate;
     Ok ()
   in

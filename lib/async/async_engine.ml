@@ -377,41 +377,15 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
     done;
     !acc
   in
-  (* Watchdogs, first violation wins; inert (and free) when none installed. *)
-  let pending_watchdogs = ref watchdogs in
-  let violations_rev = ref [] in
-  let run_watchdogs ~round ~delivered =
-    match !pending_watchdogs with
-    | [] -> ()
-    | wds ->
-        let corrupted_now = Runtime.Corruption.set corruption in
-        let wd_states =
-          let acc = ref [] in
-          for p = n - 1 downto 0 do
-            match states.(p) with
-            | Some s when not (corrupted p) -> acc := (p, s) :: !acc
-            | _ -> ()
-          done;
-          !acc
-        in
-        pending_watchdogs :=
-          List.filter
-            (fun wd ->
-              match
-                Runtime.Watchdog.check wd ~round ~delivered ~states:wd_states
-                  ~corrupted:corrupted_now
-              with
-              | None -> true
-              | Some detail ->
-                  violations_rev :=
-                    {
-                      Runtime.Watchdog.watchdog = Runtime.Watchdog.name wd;
-                      round;
-                      detail;
-                    }
-                    :: !violations_rev;
-                  false)
-            wds
+  let watch = Runtime.Watchdog.start watchdogs in
+  let honest_states () =
+    let acc = ref [] in
+    for p = n - 1 downto 0 do
+      match states.(p) with
+      | Some s when not (corrupted p) -> acc := (p, s) :: !acc
+      | _ -> ()
+    done;
+    !acc
   in
   let view () =
     {
@@ -518,7 +492,10 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
                  | None -> ());
               post_from dst letters
         end;
-        run_watchdogs ~round:!step ~delivered:[ letter ];
+        if Runtime.Watchdog.armed watch then
+          Runtime.Watchdog.step watch ~round:!step ~delivered:[ letter ]
+            ~states:(honest_states ())
+            ~corrupted:(Runtime.Corruption.set corruption);
         if live && !step - !chunk_start >= telemetry_stride then flush_chunk ()
       end
     end
@@ -555,7 +532,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
       rejected_forgeries = Runtime.Mailbox.rejected_forgeries mailbox;
       trace = (if record_trace then List.rev !history else []);
       fault_stats = Runtime.Mailbox.fault_stats mailbox ~crashed:!crashed;
-      watchdog_violations = List.rev !violations_rev;
+      watchdog_violations = Runtime.Watchdog.violations watch;
     }
   in
   match !stall with

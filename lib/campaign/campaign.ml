@@ -589,7 +589,7 @@ let instantiate (spec : Spec.t) ~task_seed =
         draw_engine_seed rng )
 
 (* ------------------------------------------------------------------ *)
-(* execution + aggregation *)
+(* aggregation *)
 
 let empty_aggregate =
   {
@@ -610,46 +610,12 @@ let merge_spread a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Float.max a b)
 
-let fold_task agg tr =
-  match tr.result with
-  | Ok o ->
-      let b p = if p then 1 else 0 in
-      {
-        tasks = agg.tasks + 1;
-        (* a genuine in-model failure; Excused grades count separately *)
-        violations =
-          (agg.violations
-          + b (match o.Runner.grade with Aat_engine.Verdict.Violated _ -> true | _ -> false));
-        errors = agg.errors;
-        timeouts =
-          (agg.timeouts
-          + b (match o.Runner.status with Runner.Timed_out _ -> true | _ -> false));
-        engine_errors =
-          (agg.engine_errors
-          + b (match o.Runner.status with Runner.Errored _ -> true | _ -> false));
-        excused = agg.excused + b (Runner.excused o);
-        total_rounds = agg.total_rounds + o.Runner.rounds_used;
-        total_honest_messages =
-          agg.total_honest_messages + o.Runner.honest_messages;
-        total_adversary_messages =
-          agg.total_adversary_messages + o.Runner.adversary_messages;
-        max_spread = merge_spread agg.max_spread o.Runner.spread;
-      }
-  | Error _ ->
-      {
-        agg with
-        tasks = agg.tasks + 1;
-        violations = agg.violations + 1;
-        errors = agg.errors + 1;
-      }
-
-(* The service-side twin of [fold_task]: fold an outcome already in its
-   JSON rendering (as shipped over the wire or resumed from a record
-   file) into the aggregate. Field-for-field equivalent to [fold_task]
-   composed with [json_of_outcome]: Violated is exactly "the verdict
-   triple fails and the grade is not excused" (see Verdict.grade), the
-   timeout/engine-error statuses come from the "status" field, and the
-   totals read the always-present headline numbers. *)
+(* The one fold, over an outcome in its JSON rendering — as
+   [fold_task] renders it, as the service wire ships it, or as a flight
+   record resumes it. Violated is exactly "the verdict triple fails and
+   the grade is not excused" (see Verdict.grade), the timeout/engine-error
+   statuses come from the "status" field, and the totals read the
+   always-present headline numbers. *)
 let fold_outcome_json agg payload =
   match payload with
   | Error _ ->
@@ -692,29 +658,6 @@ let fold_outcome_json agg payload =
             | Some (Json.Num s) -> Some s
             | _ -> None);
       }
-
-let run ?(workers = 1) ?telemetry ?(profile = false) (spec : Spec.t) =
-  (match Spec.validate spec with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Campaign.run: " ^ msg));
-  let seeds = task_seeds ~base_seed:spec.base_seed ~count:spec.repetitions in
-  let results =
-    Pool.map ~workers spec.repetitions (fun i ->
-        let task_seed = seeds.(i) in
-        let result =
-          try
-            let runner, engine_seed = instantiate spec ~task_seed in
-            let sink =
-              match telemetry with None -> None | Some f -> f ~task:i
-            in
-            Ok (runner.Runner.run ~seed:engine_seed ?telemetry:sink ~profile ())
-          with exn -> Error (Printexc.to_string exn)
-        in
-        { task = i; task_seed; result })
-  in
-  (* Fold in task order: the aggregate never sees completion order. *)
-  let aggregate = Array.fold_left fold_task empty_aggregate results in
-  { spec; results; aggregate }
 
 (* ------------------------------------------------------------------ *)
 (* JSONL result stream *)
@@ -818,23 +761,8 @@ let json_of_outcome (o : Runner.outcome) =
     @ status_fields o @ grade_fields o @ fault_fields o @ violation_fields o
     @ profile_fields o)
 
-let json_of_task_result tr =
-  Json.Obj
-    ([
-       ("type", Json.Str "task");
-       ("task", num tr.task);
-       ("task_seed", num tr.task_seed);
-     ]
-    @
-    match tr.result with
-    | Ok o -> [ ("outcome", json_of_outcome o) ]
-    | Error e -> [ ("error", Json.Str e) ])
-
-(* Re-render a task line from a payload already in JSON form — the
-   service wire path: workers ship rendered outcome JSON, the
-   coordinator parses and re-renders the line in task order.
-   Byte-identical to [json_of_task_result] on the same outcome because
-   [Json] parse/render round-trips exactly. *)
+(* A task line from a payload in JSON form: the outcome rendered here, or
+   shipped rendered over the service wire. *)
 let json_of_task_line ~task ~task_seed payload =
   Json.Obj
     ([
@@ -846,6 +774,10 @@ let json_of_task_line ~task ~task_seed payload =
     match payload with
     | Ok o -> [ ("outcome", o) ]
     | Error e -> [ ("error", Json.Str e) ])
+
+let json_of_task_result tr =
+  json_of_task_line ~task:tr.task ~task_seed:tr.task_seed
+    (Result.map json_of_outcome tr.result)
 
 (* The header deliberately omits the worker count: the stream must be
    byte-identical however the campaign was scheduled. It carries the
@@ -888,19 +820,54 @@ let json_footer agg =
           match agg.max_spread with None -> Json.Null | Some s -> Json.Num s );
       ])
 
-let jsonl_lines r =
-  (json_header r.spec
-  :: List.map json_of_task_result (Array.to_list r.results))
-  @ [ json_footer r.aggregate ]
+let stream_lines spec task_lines aggregate =
+  (json_header spec :: task_lines) @ [ json_footer aggregate ]
 
-let write_jsonl oc r =
+let jsonl_lines r =
+  stream_lines r.spec
+    (List.map json_of_task_result (Array.to_list r.results))
+    r.aggregate
+
+let output_lines oc lines =
   List.iter
     (fun line ->
       output_string oc (Json.to_string line);
       output_char oc '\n')
-    (jsonl_lines r);
+    lines;
   flush oc
 
-let jsonl_string r =
-  String.concat ""
-    (List.map (fun line -> Json.to_string line ^ "\n") (jsonl_lines r))
+let string_of_lines lines =
+  String.concat "" (List.map (fun line -> Json.to_string line ^ "\n") lines)
+
+let write_jsonl oc r = output_lines oc (jsonl_lines r)
+
+let jsonl_string r = string_of_lines (jsonl_lines r)
+
+(* ------------------------------------------------------------------ *)
+(* execution *)
+
+let fold_task agg tr =
+  fold_outcome_json agg (Result.map json_of_outcome tr.result)
+
+let run_cell ?telemetry ?(profile = false) spec ~task ~task_seed =
+  let result =
+    try
+      let runner, engine_seed = instantiate spec ~task_seed in
+      let sink = match telemetry with None -> None | Some f -> f ~task in
+      Ok (runner.Runner.run ~seed:engine_seed ?telemetry:sink ~profile ())
+    with exn -> Error (Printexc.to_string exn)
+  in
+  { task; task_seed; result }
+
+let run ?(workers = 1) ?telemetry ?(profile = false) (spec : Spec.t) =
+  (match Spec.validate spec with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Campaign.run: " ^ msg));
+  let seeds = task_seeds ~base_seed:spec.base_seed ~count:spec.repetitions in
+  let results =
+    Pool.map ~workers spec.repetitions (fun task ->
+        run_cell ?telemetry ~profile spec ~task ~task_seed:seeds.(task))
+  in
+  (* Fold in task order: the aggregate never sees completion order. *)
+  let aggregate = Array.fold_left fold_task empty_aggregate results in
+  { spec; results; aggregate }

@@ -164,6 +164,18 @@ val instantiate : Spec.t -> task_seed:int -> Runner.t * int
     attaching a per-task telemetry sink). Raises [Invalid_argument] on
     spec/protocol mismatches (see {!Spec.validate}). *)
 
+val run_cell :
+  ?telemetry:(task:int -> Aat_telemetry.Telemetry.Sink.t option) ->
+  ?profile:bool ->
+  Spec.t ->
+  task:int ->
+  task_seed:int ->
+  task_result
+(** One campaign cell: {!instantiate} from the task seed and run with the
+    derived engine seed. An exception from instantiation (or from the
+    [telemetry] factory) becomes an [Error] result. {!run} runs every
+    cell through it, and so does each campaign-service worker. *)
+
 val run :
   ?workers:int ->
   ?telemetry:(task:int -> Aat_telemetry.Telemetry.Sink.t option) ->
@@ -180,17 +192,16 @@ val run :
 
 val empty_aggregate : aggregate
 
-val fold_task : aggregate -> task_result -> aggregate
-(** Fold one task result into the aggregate. [run] folds in task index
-    order; external drivers (the campaign service) must do the same so
-    the aggregate never depends on completion order. *)
-
 val fold_outcome_json :
   aggregate -> (Aat_telemetry.Jsonx.t, string) Stdlib.result -> aggregate
-(** The service-side twin of {!fold_task}: fold an outcome already in
-    its {!json_of_outcome} rendering (as shipped over the service wire
-    or resumed from a flight record) into the aggregate. Equivalent to
-    [fold_task] on the outcome the JSON was rendered from. *)
+(** Fold one task outcome, in its {!json_of_outcome} rendering, into the
+    aggregate: the one fold, used for fresh cells, cells shipped over
+    the service wire and cells resumed from flight records alike. Fold
+    in task index order so the aggregate never depends on completion
+    order. *)
+
+val fold_task : aggregate -> task_result -> aggregate
+(** {!fold_outcome_json} of the rendered task result. *)
 
 val json_of_outcome : Runner.outcome -> Aat_telemetry.Jsonx.t
 (** One task outcome as the ["task"]-line payload (without the task/seed
@@ -198,16 +209,16 @@ val json_of_outcome : Runner.outcome -> Aat_telemetry.Jsonx.t
     watchdog accounting, and — on profiled runs — the stage profile.
     Exposed for the observability layer's outcome digests. *)
 
-val json_of_task_result : task_result -> Aat_telemetry.Jsonx.t
-
 val json_of_task_line :
   task:int ->
   task_seed:int ->
   (Aat_telemetry.Jsonx.t, string) Stdlib.result ->
   Aat_telemetry.Jsonx.t
-(** Re-render a ["task"] line from a payload already in JSON form — the
-    service wire path. Byte-identical to {!json_of_task_result} on the
-    same outcome, because [Jsonx] parse/render round-trips exactly. *)
+(** A ["task"] line from a payload already in JSON form — the service
+    wire path. *)
+
+val json_of_task_result : task_result -> Aat_telemetry.Jsonx.t
+(** {!json_of_task_line} of the rendered task result. *)
 
 val json_header : Spec.t -> Aat_telemetry.Jsonx.t
 (** The ["campaign-start"] header object. Carries the telemetry
@@ -217,12 +228,25 @@ val json_header : Spec.t -> Aat_telemetry.Jsonx.t
 val json_footer : aggregate -> Aat_telemetry.Jsonx.t
 (** The ["campaign-stop"] footer object for an aggregate. *)
 
+val stream_lines :
+  Spec.t ->
+  Aat_telemetry.Jsonx.t list ->
+  aggregate ->
+  Aat_telemetry.Jsonx.t list
+(** The campaign result stream around the given task lines (in task
+    order): one ["campaign-start"] header, the task lines, one
+    ["campaign-stop"] footer with the aggregate. *)
+
 val jsonl_lines : result -> Aat_telemetry.Jsonx.t list
-(** The campaign result stream: one ["campaign-start"] header object, one
-    ["task"] object per task in task order, one ["campaign-stop"] footer
-    with the aggregate. *)
+(** {!stream_lines} of a finished in-process campaign. *)
+
+val output_lines : out_channel -> Aat_telemetry.Jsonx.t list -> unit
+(** One JSON object per line; flushes, does not close. *)
+
+val string_of_lines : Aat_telemetry.Jsonx.t list -> string
+(** The bytes {!output_lines} writes. *)
 
 val write_jsonl : out_channel -> result -> unit
-(** {!jsonl_lines}, one JSON object per line; flushes, does not close. *)
+(** {!output_lines} of {!jsonl_lines}. *)
 
 val jsonl_string : result -> string

@@ -151,6 +151,31 @@ let stage_profile ~t0 ~t1 ~t2 ~t3 ~a0 =
     alloc_bytes = Gc.allocated_bytes () -. a0;
   }
 
+(* ------------------------------------------------------------------ *)
+(* unified run configuration *)
+
+type scheduler = Fifo | Lifo | Random_order
+
+module Config = struct
+  type t = {
+    fault_plan : Plan.t;
+    watch : bool;
+    scheduler : scheduler;
+    max_events : int;
+  }
+
+  let default =
+    {
+      fault_plan = Plan.empty;
+      watch = false;
+      scheduler = Fifo;
+      max_events = 2_000_000;
+    }
+end
+
+(* ------------------------------------------------------------------ *)
+(* the run scaffold *)
+
 (* Grade a structured engine outcome, never letting anything escape: the
    verdict [check] runs on complete *and* partial reports. *)
 let conclude ~runner ~seed ~engine ~excuse ~check ~spread
@@ -171,53 +196,65 @@ let conclude ~runner ~seed ~engine ~excuse ~check ~spread
         status = Errored { stage; exn_text };
       }
 
+(* The run scaffold both engines share: compile the fault filter, let
+   [setup] build the per-run protocol, adversary and watchdogs and hand
+   back the engine call, run it, then grade. Stages are timed on profiled
+   runs; an exception from the setup or the engine becomes an
+   [Errored "engine"] outcome, one from the verdict [Errored "check"]. *)
+let guarded ~runner ~engine ~fault_plan ~check ~spread ~seed ~profile setup =
+  let engine_name = match engine with `Sync -> "sync" | `Async -> "async" in
+  let t0 = now profile in
+  let a0 = if profile then Gc.allocated_bytes () else 0. in
+  match
+    let fault_filter =
+      if Plan.is_empty fault_plan then None
+      else Some (Inject.filter ~engine ~seed fault_plan)
+    in
+    let run_engine = setup fault_filter in
+    let t1 = now profile in
+    let engine_outcome = run_engine () in
+    (engine_outcome, t1, now profile)
+  with
+  | exception exn ->
+      errored ~runner ~seed ~engine:engine_name ~stage:"engine" exn
+  | engine_outcome, t1, t2 -> (
+      try
+        let o =
+          conclude ~runner ~seed ~engine:engine_name
+            ~excuse:(excuse_of fault_plan) ~check ~spread engine_outcome
+        in
+        if profile then
+          {
+            o with
+            profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0);
+          }
+        else o
+      with exn -> errored ~runner ~seed ~engine:engine_name ~stage:"check" exn)
+
 let of_protocol ~name ~n ~t ~max_rounds ~protocol ~adversary ?observe
     ?(fault_plan = Plan.empty) ?(watchdogs = fun () -> []) ~check
     ?(spread = fun _ -> None) () =
   let run ~seed ?telemetry ?(profile = false) () =
-    let t0 = now profile in
-    let a0 = if profile then Gc.allocated_bytes () else 0. in
-    match
-      let fault_filter =
-        if Plan.is_empty fault_plan then None
-        else Some (Inject.filter ~engine:`Sync ~seed fault_plan)
-      in
-      let protocol = protocol () in
-      let adversary = adversary () in
-      let watchdogs = watchdogs () in
-      let t1 = now profile in
-      let engine_outcome =
-        Sync_engine.run_outcome ~n ~t ~seed ?telemetry ~profile ?observe
-          ?fault_filter
-          ~crash_faults:(Plan.crashes fault_plan)
-          ~watchdogs
-          ~max_rounds:(max 1 max_rounds)
-          ~protocol ~adversary ()
-      in
-      (engine_outcome, t1, now profile)
-    with
-    | exception exn -> errored ~runner:name ~seed ~engine:"sync" ~stage:"engine" exn
-    | engine_outcome, t1, t2 -> (
-        try
-          let o =
-            conclude ~runner:name ~seed ~engine:"sync"
-              ~excuse:(excuse_of fault_plan) ~check ~spread engine_outcome
-          in
-          if profile then
-            { o with profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0) }
-          else o
-        with exn -> errored ~runner:name ~seed ~engine:"sync" ~stage:"check" exn)
+    guarded ~runner:name ~engine:`Sync ~fault_plan ~check ~spread ~seed
+      ~profile (fun fault_filter ->
+        let protocol = protocol () in
+        let adversary = adversary () in
+        let watchdogs = watchdogs () in
+        fun () ->
+          Sync_engine.run_outcome ~n ~t ~seed ?telemetry ~profile ?observe
+            ?fault_filter
+            ~crash_faults:(Plan.crashes fault_plan)
+            ~watchdogs
+            ~max_rounds:(max 1 max_rounds)
+            ~protocol ~adversary ())
   in
   { name; run }
 
 (* ------------------------------------------------------------------ *)
 (* verdict plumbing shared by the concrete runners *)
 
-let tree_check ~tree ~inputs report =
-  Tree_verdict.check ~tree
-    ~n_honest:(Array.length inputs - List.length report.Report.corrupted)
-    ~honest_inputs:(Report.honest_inputs ~inputs report)
-    ~honest_outputs:(Report.honest_outputs report)
+let tree_check ~tree ~inputs =
+  Tree_verdict.check_report ~tree ~inputs ~value:Fun.id
 
 let real_check ~eps ~inputs ~value report =
   Verdict.real_of_report ~eps ~inputs:(fun i -> inputs.(i)) ~value report
@@ -225,144 +262,90 @@ let real_check ~eps ~inputs ~value report =
 let real_spread ~value report =
   Some (Verdict.spread (List.map value (Report.honest_outputs report)))
 
-(* Plan-injected crashes are budget-exempt forced corruptions, so the
-   monotonicity watchdog's allowance is [t] plus the planned crash count —
-   it must fire only on corruption the adversary was not entitled to. *)
-let budget_watchdog ~t ~plan =
-  Watchdogs.corruption_budget ~t:(t + Plan.crash_count plan)
-
-let budget_watchdogs ~t ~plan enabled =
-  if enabled then fun () -> [ budget_watchdog ~t ~plan ] else fun () -> []
-
-(* ------------------------------------------------------------------ *)
-(* unified run configuration *)
-
-type scheduler = Fifo | Lifo | Random_order
-
-module Config = struct
-  type t = {
-    fault_plan : Plan.t;
-    watch : bool;
-    scheduler : scheduler;
-    max_events : int;
-    knobs : Bdh.knobs option;
-  }
-
-  let default =
-    {
-      fault_plan = Plan.empty;
-      watch = false;
-      scheduler = Fifo;
-      max_events = 2_000_000;
-      knobs = None;
-    }
-end
-
-(* Per-constructor resolution: an explicitly passed legacy optional wins
-   over the [config] field, so the old labelled call sites keep their
-   exact behaviour while new code passes one record. *)
-let resolve ?fault_plan ?watch (config : Config.t) =
-  ( Option.value fault_plan ~default:config.Config.fault_plan,
-    Option.value watch ~default:config.Config.watch )
+(* The standard watchdog catalog for a run: corruption-budget
+   monotonicity everywhere, spread non-expansion where the protocol has a
+   scalar observation. Plan-injected crashes are budget-exempt forced
+   corruptions, so the budget allowance is [t] plus the planned crash
+   count — it must fire only on corruption the adversary was not entitled
+   to. *)
+let catalog ?observe ~t (config : Config.t) () =
+  if not config.watch then []
+  else
+    Watchdogs.corruption_budget
+      ~t:(t + Plan.crash_count config.fault_plan)
+    ::
+    (match observe with
+    | Some observe -> [ Watchdogs.spread_non_expansion ~observe () ]
+    | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* synchronous runners *)
 
-let tree_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let tree_aa ?(config = Config.default) ~tree ~inputs ~t ~adversary () =
   of_protocol ~name:"tree-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Tree_aa.rounds ~tree)
     ~protocol:(fun () -> Tree_aa.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t)
-    ~adversary ~observe:Tree_aa.observe ~fault_plan
-    ~watchdogs:(budget_watchdogs ~t ~plan:fault_plan watch)
+    ~adversary ~observe:Tree_aa.observe ~fault_plan:config.fault_plan
+    ~watchdogs:(catalog ~t config)
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let nr_baseline ?(config = Config.default) ?fault_plan ?watch ~tree ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let nr_baseline ?(config = Config.default) ~tree ~inputs ~t ~adversary () =
   let iterations = Nr_baseline.iterations_for tree in
   of_protocol ~name:"nr-baseline" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
     ~protocol:(fun () ->
       Nr_baseline.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t ~iterations)
-    ~adversary ~fault_plan
-    ~watchdogs:(budget_watchdogs ~t ~plan:fault_plan watch)
+    ~adversary ~fault_plan:config.fault_plan
+    ~watchdogs:(catalog ~t config)
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let path_aa ?(config = Config.default) ?fault_plan ?watch ~path ~inputs ~t
-    ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let path_aa ?(config = Config.default) ~path ~inputs ~t ~adversary () =
   of_protocol ~name:"path-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Path_aa.rounds ~path)
     ~protocol:(fun () ->
       Path_aa.protocol ~path ~inputs:(fun i -> inputs.(i)) ~t)
-    ~adversary ~observe:Path_aa.observe ~fault_plan
-    ~watchdogs:(fun () ->
-      if watch then
-        [
-          budget_watchdog ~t ~plan:fault_plan;
-          Watchdogs.spread_non_expansion ~observe:Path_aa.observe ();
-        ]
-      else [])
+    ~adversary ~observe:Path_aa.observe ~fault_plan:config.fault_plan
+    ~watchdogs:(catalog ~observe:Path_aa.observe ~t config)
     ~check:(tree_check ~tree:path ~inputs)
     ()
 
-let known_path_aa ?(config = Config.default) ?fault_plan ?watch ~tree ~path
-    ~inputs ~t ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let known_path_aa ?(config = Config.default) ~tree ~path ~inputs ~t ~adversary
+    () =
   of_protocol ~name:"known-path-aa" ~n:(Array.length inputs) ~t
     ~max_rounds:(Known_path_aa.rounds ~path)
     ~protocol:(fun () ->
       Known_path_aa.protocol ~tree ~path ~inputs:(fun i -> inputs.(i)) ~t)
-    ~adversary ~observe:Known_path_aa.observe ~fault_plan
-    ~watchdogs:(budget_watchdogs ~t ~plan:fault_plan watch)
+    ~adversary ~observe:Known_path_aa.observe ~fault_plan:config.fault_plan
+    ~watchdogs:(catalog ~t config)
     ~check:(tree_check ~tree ~inputs)
     ()
 
-let real_aa ?(config = Config.default) ?knobs ?fault_plan ?watch ~eps ~inputs
-    ~t ~iterations ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let knobs =
-    match knobs with Some k -> Some k | None -> config.Config.knobs
-  in
+let real_aa ?(config = Config.default) ~eps ~inputs ~t ~iterations ~adversary
+    () =
   let value (r : Bdh.result) = r.Bdh.value in
   of_protocol ~name:"realaa" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
     ~protocol:(fun () ->
-      Bdh.protocol ?knobs ~inputs:(fun i -> inputs.(i)) ~t ~iterations ())
-    ~adversary ~observe:Bdh.observe ~fault_plan
-    ~watchdogs:(fun () ->
-      if watch then
-        [
-          budget_watchdog ~t ~plan:fault_plan;
-          Watchdogs.spread_non_expansion ~observe:Bdh.observe ();
-        ]
-      else [])
+      Bdh.protocol ~inputs:(fun i -> inputs.(i)) ~t ~iterations ())
+    ~adversary ~observe:Bdh.observe ~fault_plan:config.fault_plan
+    ~watchdogs:(catalog ~observe:Bdh.observe ~t config)
     ~check:(real_check ~eps ~inputs ~value)
     ~spread:(real_spread ~value)
     ()
 
-let iterated_midpoint ?(config = Config.default) ?fault_plan ?watch ~eps
-    ~inputs ~t ~iterations ~adversary () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
+let iterated_midpoint ?(config = Config.default) ~eps ~inputs ~t ~iterations
+    ~adversary () =
   let value (r : Iterated_midpoint.result) = r.Iterated_midpoint.value in
   of_protocol ~name:"iterated-midpoint" ~n:(Array.length inputs) ~t
     ~max_rounds:(3 * iterations)
     ~protocol:(fun () ->
       Iterated_midpoint.with_gradecast ~inputs:(fun i -> inputs.(i)) ~t
         ~iterations)
-    ~adversary ~fault_plan
-    ~watchdogs:(fun () ->
-      if watch then
-        [
-          budget_watchdog ~t ~plan:fault_plan;
-          Watchdogs.spread_non_expansion
-            ~observe:Iterated_midpoint.observe_gradecast ();
-        ]
-      else [])
+    ~adversary ~fault_plan:config.fault_plan
+    ~watchdogs:
+      (catalog ~observe:Iterated_midpoint.observe_gradecast ~t config)
     ~check:(real_check ~eps ~inputs ~value)
     ~spread:(real_spread ~value)
     ()
@@ -375,140 +358,56 @@ let to_engine_scheduler = function
   | Lifo -> Aat_async.Async_engine.Lifo
   | Random_order -> Aat_async.Async_engine.Random_order
 
-let run_async (type s m o) ~runner ~n ~t ~max_events ~fault_plan ~watchdogs
+let of_reactor (type s m o) ~name ~n ~t ~(config : Config.t)
     ~(reactor : unit -> (s, m, o) Aat_async.Async_engine.reactor)
-    ~(adversary : unit -> m Aat_async.Async_engine.adversary) ~check
-    ?(spread = fun _ -> None) ~seed ?telemetry ?(profile = false) () =
-  let t0 = now profile in
-  let a0 = if profile then Gc.allocated_bytes () else 0. in
-  match
-    let fault_filter =
-      if Plan.is_empty fault_plan then None
-      else Some (Inject.filter ~engine:`Async ~seed fault_plan)
-    in
-    let reactor = reactor () in
-    let adversary = adversary () in
-    let watchdogs = watchdogs () in
-    let t1 = now profile in
-    let engine_outcome =
-      Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry ~profile
-        ~max_events ?fault_filter
-        ~crash_faults:(Plan.crashes fault_plan)
-        ~watchdogs ~reactor ~adversary ()
-    in
-    (engine_outcome, t1, now profile)
-  with
-  | exception exn -> errored ~runner ~seed ~engine:"async" ~stage:"engine" exn
-  | engine_outcome, t1, t2 -> (
-      try
-        let o =
-          conclude ~runner ~seed ~engine:"async" ~excuse:(excuse_of fault_plan)
-            ~check ~spread engine_outcome
+    ~(adversary : unit -> m Adversary.t) ~check ~spread () =
+  let scheduler = to_engine_scheduler config.scheduler in
+  let run ~seed ?telemetry ?(profile = false) () =
+    guarded ~runner:name ~engine:`Async ~fault_plan:config.fault_plan ~check
+      ~spread ~seed ~profile (fun fault_filter ->
+        let reactor = reactor () in
+        let adversary =
+          Aat_async.Async_engine.with_scheduler ~scheduler (adversary ())
         in
-        if profile then
-          { o with profile = Some (stage_profile ~t0 ~t1 ~t2 ~t3:(now profile) ~a0) }
-        else o
-      with exn -> errored ~runner ~seed ~engine:"async" ~stage:"check" exn)
-
-(* Maximum pairwise tree distance of a vertex set — the output spread of
-   the tree-valued protocols, in the paper's metric. BFS per distinct
-   vertex; output sets are at most n vertices on trees the campaigns keep
-   small. *)
-let tree_distance_spread ~tree vertices =
-  let module T = Aat_tree.Labeled_tree in
-  let distinct = List.sort_uniq compare vertices in
-  match distinct with
-  | [] | [ _ ] -> 0.
-  | vs ->
-      let nv = T.n_vertices tree in
-      let eccentricity_within src =
-        let dist = Array.make nv (-1) in
-        dist.(src) <- 0;
-        let q = Queue.create () in
-        Queue.add src q;
-        while not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          List.iter
-            (fun v ->
-              if dist.(v) < 0 then begin
-                dist.(v) <- dist.(u) + 1;
-                Queue.add v q
-              end)
-            (T.neighbors tree u)
-        done;
-        List.fold_left (fun acc v -> max acc dist.(v)) 0 vs
-      in
-      float_of_int (List.fold_left (fun acc v -> max acc (eccentricity_within v)) 0 vs)
-
-let async_tree_aa ?(config = Config.default) ?max_events ?fault_plan ?watch
-    ?adversary ~tree ~inputs ~t ?scheduler () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let max_events = Option.value max_events ~default:config.Config.max_events in
-  let scheduler = Option.value scheduler ~default:config.Config.scheduler in
-  let n = Array.length inputs in
-  let iterations = Nr_baseline.iterations_for tree in
-  let output_values report =
-    List.map
-      (fun (r : _ Aat_async.Async_aa.result) -> r.Aat_async.Async_aa.value)
-      (Report.honest_outputs report)
+        let watchdogs = catalog ~t config () in
+        fun () ->
+          Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry ~profile
+            ~max_events:config.max_events ?fault_filter
+            ~crash_faults:(Plan.crashes config.fault_plan)
+            ~watchdogs ~reactor ~adversary ())
   in
-  let check report =
-    Tree_verdict.check ~tree
-      ~n_honest:(n - List.length report.Report.corrupted)
-      ~honest_inputs:(Report.honest_inputs ~inputs report)
-      ~honest_outputs:(output_values report)
-  in
+  { name; run }
+
+let async_tree_aa ?(config = Config.default) ?adversary ~tree ~inputs ~t () =
+  let value (r : _ Aat_async.Async_aa.result) = r.Aat_async.Async_aa.value in
   (* With an explicit adversary (the synthesis path) the outcome also
      carries the honest output spread in the tree metric; the passive
      default keeps its historical spread-less outcomes. *)
   let spread =
     match adversary with
     | None -> fun _ -> None
-    | Some _ -> fun report -> Some (tree_distance_spread ~tree (output_values report))
+    | Some _ ->
+        fun report ->
+          Some
+            (float_of_int
+               (Tree_verdict.output_diameter ~tree
+                  (List.map value (Report.honest_outputs report))))
   in
-  let engine_adversary () =
-    match adversary with
-    | None ->
-        Aat_async.Async_engine.passive
-          ~scheduler:(to_engine_scheduler scheduler)
-          "none"
-    | Some a ->
-        Aat_async.Async_engine.with_scheduler
-          ~scheduler:(to_engine_scheduler scheduler)
-          (a ())
-  in
-  let run ~seed ?telemetry ?profile () =
-    run_async ~runner:"async-tree-aa" ~n ~t ~max_events ~fault_plan
-      ~watchdogs:(budget_watchdogs ~t ~plan:fault_plan watch)
-      ~reactor:(fun () ->
-        Aat_async.Async_aa.tree ~tree ~inputs:(fun i -> inputs.(i)) ~t
-          ~iterations)
-      ~adversary:engine_adversary ~check ~spread ~seed ?telemetry ?profile ()
-  in
-  { name = "async-tree-aa"; run }
+  of_reactor ~name:"async-tree-aa" ~n:(Array.length inputs) ~t ~config
+    ~reactor:(fun () ->
+      Aat_async.Async_aa.tree ~tree ~inputs:(fun i -> inputs.(i)) ~t
+        ~iterations:(Nr_baseline.iterations_for tree))
+    ~adversary:
+      (Option.value adversary ~default:(fun () -> Adversary.passive "none"))
+    ~check:(Tree_verdict.check_report ~tree ~inputs ~value)
+    ~spread ()
 
-let round_sim_tree_aa ?(config = Config.default) ?max_events ?fault_plan
-    ?watch ~tree ~inputs ~t ?scheduler () =
-  let fault_plan, watch = resolve ?fault_plan ?watch config in
-  let max_events = Option.value max_events ~default:config.Config.max_events in
-  let scheduler = Option.value scheduler ~default:config.Config.scheduler in
-  let n = Array.length inputs in
-  let check report =
-    Tree_verdict.check ~tree
-      ~n_honest:(n - List.length report.Report.corrupted)
-      ~honest_inputs:(Report.honest_inputs ~inputs report)
-      ~honest_outputs:(List.map fst (Report.honest_outputs report))
-  in
-  let run ~seed ?telemetry ?profile () =
-    run_async ~runner:"round-sim-tree-aa" ~n ~t ~max_events ~fault_plan
-      ~watchdogs:(budget_watchdogs ~t ~plan:fault_plan watch)
-      ~reactor:(fun () ->
-        Aat_async.Round_sim.reactor_of_protocol
-          (Tree_aa.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t))
-      ~adversary:(fun () ->
-        Aat_async.Async_engine.passive
-          ~scheduler:(to_engine_scheduler scheduler)
-          "none")
-      ~check ~seed ?telemetry ?profile ()
-  in
-  { name = "round-sim-tree-aa"; run }
+let round_sim_tree_aa ?(config = Config.default) ~tree ~inputs ~t () =
+  of_reactor ~name:"round-sim-tree-aa" ~n:(Array.length inputs) ~t ~config
+    ~reactor:(fun () ->
+      Aat_async.Round_sim.reactor_of_protocol
+        (Tree_aa.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t))
+    ~adversary:(fun () -> Adversary.passive "none")
+    ~check:(Tree_verdict.check_report ~tree ~inputs ~value:fst)
+    ~spread:(fun _ -> None)
+    ()

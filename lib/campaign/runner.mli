@@ -20,10 +20,13 @@
     and runners must stay safe to invoke from several {!Pool} workers at
     once.
 
-    Runners accept an optional {!Aat_faults.Plan.t}: its crashes are
+    Runners take their fault plan in {!Config.t}: its crashes are
     applied as engine-level faults and the rest is compiled to a
     deterministic {!Aat_runtime.Mailbox.fault_filter} seeded from the run
-    seed, so outcomes are reproducible for any worker count. *)
+    seed, so outcomes are reproducible for any worker count. Every
+    runner, on either engine, goes through one scaffold that builds the
+    filter and the per-run state, runs the engine, grades the outcome
+    and folds any exception into [Errored]. *)
 
 open Aat_tree
 open Aat_engine
@@ -118,37 +121,34 @@ val of_protocol :
   t
 (** The extension point: lift any synchronous protocol into the Runner
     API. [protocol], [adversary] and [watchdogs] are thunks invoked once
-    per [run] call (fresh state per execution); [check] judges the
-    finished — possibly partial — report; [spread] (default
-    [fun _ -> None]) extracts the convergence headline. [fault_plan]
-    (default {!Aat_faults.Plan.empty}) must be
+    per [run] call (fresh state per execution), in that order, last
+    before the engine; [check] judges the finished — possibly partial —
+    report and is the first call after the engine returns; [spread]
+    (default [fun _ -> None]) extracts the convergence headline.
+    [fault_plan] (default {!Aat_faults.Plan.empty}) must be
     {!Aat_faults.Plan.sync_compatible}. *)
 
 (** Scheduler choice for the asynchronous runners (the [Custom] scheduler
     is not representable in a declarative campaign spec). *)
 type scheduler = Fifo | Lifo | Random_order
 
-(** The unified run configuration. The repository's runners accreted a
-    per-constructor spread of optionals ([?fault_plan], [?watch],
-    [?max_events], [?knobs], [~scheduler]); {!Config.t} consolidates them
-    into one record so campaign, service, bench and soak all construct
-    runs the same way: build a record from {!Config.default}, override
-    the fields you need, and pass [~config]. Fields a protocol does not
-    use (e.g. [scheduler] on a synchronous runner, [knobs] anywhere but
-    RealAA) are ignored by that constructor.
+(** The run configuration every runner below takes as [?config]: build a
+    record from {!Config.default}, override the fields you need, and
+    pass it. Fields a protocol does not use ([scheduler] and
+    [max_events] on a synchronous runner) are ignored by that
+    constructor.
 
     The per-run adversary thunk stays a separate labelled argument — its
     message type is protocol-specific, so it cannot live in a shared
     record without erasing it; likewise [?telemetry]/[?profile] remain
-    per-call knobs on {!t}[.run] because they vary per invocation, not
-    per runner. *)
+    per-call arguments of {!t}[.run] because they vary per invocation,
+    not per runner. *)
 module Config : sig
   type t = {
     fault_plan : Aat_faults.Plan.t;  (** default: {!Aat_faults.Plan.empty} *)
     watch : bool;  (** install the standard watchdog catalog *)
     scheduler : scheduler;  (** async runners only; default [Fifo] *)
     max_events : int;  (** async delivery budget; default [2_000_000] *)
-    knobs : Aat_realaa.Bdh.knobs option;  (** RealAA only *)
   }
 
   val default : t
@@ -156,20 +156,13 @@ end
 
 (** {1 The repository's protocols as runners}
 
-    All take [?config] (default {!Config.default}) plus the legacy
-    per-field optionals [?fault_plan] / [?watch] (and, where applicable,
-    [?max_events] / [?knobs] / [?scheduler]). The legacy optionals are
-    {b deprecated thin wrappers}: when passed explicitly they override
-    the corresponding [config] field, preserving every existing call
-    site bit-for-bit, but new code should construct a {!Config.t}. When
-    [watch] is set, the standard watchdog catalog applicable to the
-    protocol — corruption-budget monotonicity everywhere, spread
-    non-expansion where a scalar observation exists — is installed. *)
+    All take [?config] (default {!Config.default}). When [config.watch]
+    is set, the standard watchdog catalog applicable to the protocol —
+    corruption-budget monotonicity everywhere, spread non-expansion
+    where a scalar observation exists — is installed. *)
 
 val tree_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -179,8 +172,6 @@ val tree_aa :
 
 val nr_baseline :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -190,8 +181,6 @@ val nr_baseline :
 
 val path_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   path:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
@@ -202,8 +191,6 @@ val path_aa :
 
 val known_path_aa :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   path:Paths.path ->
   inputs:Labeled_tree.vertex array ->
@@ -214,9 +201,6 @@ val known_path_aa :
 
 val real_aa :
   ?config:Config.t ->
-  ?knobs:Aat_realaa.Bdh.knobs ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   eps:float ->
   inputs:float array ->
   t:int ->
@@ -228,8 +212,6 @@ val real_aa :
 
 val iterated_midpoint :
   ?config:Config.t ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   eps:float ->
   inputs:float array ->
   t:int ->
@@ -241,35 +223,27 @@ val iterated_midpoint :
 
 val async_tree_aa :
   ?config:Config.t ->
-  ?max_events:int ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   ?adversary:(unit -> Labeled_tree.vertex Aat_async.Async_aa.msg Adversary.t) ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
-  ?scheduler:scheduler ->
   unit ->
   t
 (** The native asynchronous tree protocol ([Async_aa.tree], Nowak–Rybicki
-    style) under the given scheduler. [adversary] (default: passive) is a
+    style) under [config.scheduler]. [adversary] (default: passive) is a
     synchronous-world strategy lifted through
     [Async_engine.with_scheduler] — the synthesis harness drives the
     protocol-agnostic genome attacks through it; when present, the outcome
     additionally reports the honest output spread in the tree metric.
-    [max_events] defaults to [2_000_000] (soak's budget — enough for the
-    large random trees the campaigns draw). The async engine honours the
-    full fault vocabulary, [Duplicate] and [Delay] included. *)
+    [config.max_events] defaults to [2_000_000] (soak's budget — enough
+    for the large random trees the campaigns draw). The async engine
+    honours the full fault vocabulary, [Duplicate] and [Delay] included. *)
 
 val round_sim_tree_aa :
   ?config:Config.t ->
-  ?max_events:int ->
-  ?fault_plan:Aat_faults.Plan.t ->
-  ?watch:bool ->
   tree:Labeled_tree.t ->
   inputs:Labeled_tree.vertex array ->
   t:int ->
-  ?scheduler:scheduler ->
   unit ->
   t
 (** Synchronous TreeAA lifted into the asynchronous engine through

@@ -56,19 +56,12 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
      the adversary moves, and do not consume its corruption budget. *)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
-  (* Engine fast paths. A passive adversary never corrupts, never sends and
+  (* Engine fast path. A passive adversary never corrupts, never sends and
      never reads its view, so the per-round view materialisation (history
-     retention, outbox reversal, corruption-flag copies) is skipped
-     entirely. Without mid-run crash faults there is nothing that can
-     retract a letter after submission either, so honest letters stream
-     straight from [send] into the mailbox without ever being buffered —
-     the hot path at n ~ 10^4 allocates no per-letter envelopes at all.
-     The fault filter observes the same (round, src, dst) sequence as the
-     buffered path: forward submission order, p ascending. *)
+     retention, outbox reversal, corruption-flag copies) is skipped and
+     honest letters stream straight from [send] into the mailbox — the hot
+     path at n ~ 10^4 allocates no per-letter envelopes at all. *)
   let passive = adversary.Adversary.passive in
-  let has_timed_crashes =
-    List.exists (fun ((_ : Types.party_id), at) -> at >= 1) crash_faults
-  in
   (* The delivered-letter list is only materialised for consumers that
      read letters: the adversary's history (any non-passive run), the
      recorded trace, and watchdogs. Counters cover everything else. *)
@@ -105,35 +98,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
   in
   let history = ref [] in
   let trace = ref [] in
-  (* Watchdogs: each fires at most once (first violation wins) and is then
-     retired; with no watchdogs installed every hook below is a no-op on a
-     never-entered branch. *)
-  let pending_watchdogs = ref watchdogs in
-  let violations_rev = ref [] in
-  let run_watchdogs ~round ~delivered ~states =
-    match !pending_watchdogs with
-    | [] -> ()
-    | wds ->
-        let corrupted_now = Runtime.Corruption.set corruption in
-        pending_watchdogs :=
-          List.filter
-            (fun wd ->
-              match
-                Runtime.Watchdog.check wd ~round ~delivered ~states
-                  ~corrupted:corrupted_now
-              with
-              | None -> true
-              | Some detail ->
-                  violations_rev :=
-                    {
-                      Runtime.Watchdog.watchdog = Runtime.Watchdog.name wd;
-                      round;
-                      detail;
-                    }
-                    :: !violations_rev;
-                  false)
-            wds
-  in
+  let watch = Runtime.Watchdog.start watchdogs in
   let undecided () =
     Array.exists (function Live _ -> true | Done _ | Corrupt -> false) slots
   in
@@ -178,9 +143,17 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         sent_by.(l.src) <- sent_by.(l.src) + 1;
         bytes := !bytes + Telemetry.payload_bytes l.body
       in
-      if passive && not has_timed_crashes then begin
-        (* Streamed fast path: nothing can retract a submitted letter, so
-           each one goes straight from [send] into the flat mailbox. *)
+      (* Fault-plan crashes land at the start of the round, before any
+         send: a party crashing in round [r] is a corrupted party that is
+         silent from [r] on. *)
+      List.iter
+        (fun (p, at) ->
+          if at = r then begin
+            crash p ~at:r;
+            if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt
+          end)
+        crash_faults;
+      if passive then begin
         Runtime.Mailbox.begin_round ~round:r mailbox;
         Array.iteri
           (fun p slot ->
@@ -204,53 +177,9 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
           slots;
         Runtime.Mailbox.note_honest mailbox !honest_count
       end
-      else if passive then begin
-        (* Passive, but environment crashes can retract this round's
-           letters: buffer the outbox, retract, then post. Still no view,
-           history or screening — the adversary reads none of it. *)
-        let honest_outbox = ref [] in
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live s ->
-                List.iter
-                  (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst)
-                    else
-                      honest_outbox :=
-                        { Types.src = p; dst; body } :: !honest_outbox)
-                  (protocol.send ~round:r ~self:p s)
-            | Done _ | Corrupt -> ())
-          slots;
-        List.iter
-          (fun (p, at) ->
-            if at = r then begin
-              crash p ~at:r;
-              if p >= 0 && p < n && corrupted p then begin
-                slots.(p) <- Corrupt;
-                honest_outbox :=
-                  List.filter
-                    (fun (l : m Types.letter) -> l.src <> p)
-                    !honest_outbox
-              end
-            end)
-          crash_faults;
-        Runtime.Mailbox.begin_round ~round:r mailbox;
-        (* [honest_outbox] is in reverse submission order, so
-           [post_last_wins] walks it forward — the same per-letter fault
-           decision sequence as the streamed path. *)
-        Runtime.Mailbox.post_last_wins mailbox !honest_outbox;
-        honest_count := List.length !honest_outbox;
-        Runtime.Mailbox.note_honest mailbox !honest_count;
-        if live then
-          List.iter (fun l -> meter l honest_bytes) !honest_outbox
-      end
       else begin
         (* Full path: a live adversary gets its rushing view, adaptive
-           corruptions and screened deliveries, exactly as before. *)
+           corruptions and screened deliveries. *)
         (* 1. honest outboxes *)
         let honest_outbox = ref [] in
         Array.iteri
@@ -269,22 +198,6 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
                   (protocol.send ~round:r ~self:p s)
             | Done _ | Corrupt -> ())
           slots;
-        (* 2a. fault-plan crashes land first (the environment acts before
-           the adversary): a party crashing in round [r] has its round-[r]
-           letters retracted, exactly like an adaptive corruption. *)
-        List.iter
-          (fun (p, at) ->
-            if at = r then begin
-              crash p ~at:r;
-              if p >= 0 && p < n && corrupted p then begin
-                slots.(p) <- Corrupt;
-                honest_outbox :=
-                  List.filter
-                    (fun (l : m Types.letter) -> l.src <> p)
-                    !honest_outbox
-              end
-            end)
-          crash_faults;
         let view () =
           {
             Adversary.round = r;
@@ -296,7 +209,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
             rng;
           }
         in
-        (* 2b. adaptive corruptions: newly corrupted parties' messages of
+        (* 2. adaptive corruptions: newly corrupted parties' messages of
            this round are retracted and their state handed to the
            adversary (conceptually — we just drop it). *)
         let extra = adversary.corrupt_more (view ()) in
@@ -345,7 +258,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
          discarded. Watchdogs see the same post-receive states. *)
       let snapshot_rev = ref [] in
       let wd_states_rev = ref [] in
-      let wd_live = !pending_watchdogs <> [] in
+      let wd_live = Runtime.Watchdog.armed watch in
       Array.iteri
         (fun p slot ->
           match slot with
@@ -365,7 +278,10 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
               | None -> slots.(p) <- Live s')
           | Done _ | Corrupt -> ())
         slots;
-      run_watchdogs ~round:r ~delivered ~states:(List.rev !wd_states_rev);
+      if wd_live then
+        Runtime.Watchdog.step watch ~round:r ~delivered
+          ~states:(List.rev !wd_states_rev)
+          ~corrupted:(Runtime.Corruption.set corruption);
       (* 6. telemetry: one event per round, after receives so that probes
          fired inside [receive] and post-round state snapshots are included *)
       if live then begin
@@ -448,7 +364,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       rejected_forgeries = Runtime.Mailbox.rejected_forgeries mailbox;
       trace = List.rev !trace;
       fault_stats = Runtime.Mailbox.fault_stats mailbox ~crashed:!crashed;
-      watchdog_violations = List.rev !violations_rev;
+      watchdog_violations = Runtime.Watchdog.violations watch;
     }
   in
   if !timed_out then

@@ -83,13 +83,14 @@ val run_outcome :
     is installed into the run's mailbox and consulted on every posted
     letter; [Duplicate]/[Delay] decisions have no synchronous meaning
     and deliver normally. [crash_faults] force-crashes each listed party
-    at its round, before the adversary moves and without consuming the
-    corruption budget; a crash at round [r <= 0] means the party never
-    runs. [watchdogs] are checked after every round's receives on the
-    post-receive states (including parties deciding that round); each
-    records at most one violation into the report. All three default to
-    inert, in which case the execution — and the report, field for
-    field — is identical to the pre-fault engine. *)
+    at the start of its round, before any send and without consuming the
+    corruption budget: the party is silent from that round on, and a
+    crash at round [r <= 0] means it never runs. [watchdogs] are checked
+    after every round's receives on the post-receive states (including
+    parties deciding that round); each records at most one violation
+    into the report (see {!Aat_runtime.Watchdog.running}). All three
+    default to inert, in which case the execution — and the report,
+    field for field — is identical to the pre-fault engine. *)
 
 val run :
   n:int ->

@@ -21,5 +21,27 @@ let name wd = wd.name
 let check wd ~round ~delivered ~states ~corrupted =
   wd.check ~round ~delivered ~states ~corrupted
 
+type ('s, 'msg) running = {
+  mutable armed : ('s, 'msg) t list;
+  mutable fired_rev : violation list;
+}
+
+let start watchdogs = { armed = watchdogs; fired_rev = [] }
+
+let armed r = r.armed <> []
+
+let step r ~round ~delivered ~states ~corrupted =
+  r.armed <-
+    List.filter
+      (fun wd ->
+        match wd.check ~round ~delivered ~states ~corrupted with
+        | None -> true
+        | Some detail ->
+            r.fired_rev <- { watchdog = wd.name; round; detail } :: r.fired_rev;
+            false)
+      r.armed
+
+let violations r = List.rev r.fired_rev
+
 let pp_violation fmt v =
   Format.fprintf fmt "[%s] round %d: %s" v.watchdog v.round v.detail

@@ -9,8 +9,9 @@
     violation wins — the diagnostic names the earliest round at which the
     invariant broke). Violations never throw.
 
-    Only the {e type} lives here, in the runtime substrate, so both
-    engines can accept watchdogs without depending on protocol layers.
+    The type and the retire policy ({!running}) live here, in the
+    runtime substrate, so both engines share them without depending on
+    protocol layers.
     The concrete catalog (hull containment, spread non-expansion, grade
     consistency, corruption budget) lives in [Aat_faults.Watchdog]. *)
 
@@ -51,5 +52,32 @@ val check :
   states:(Types.party_id * 's) list ->
   corrupted:Party_set.t ->
   string option
+
+(** {1 One run's watchdogs}
+
+    The retire policy above, in one place for both engines. *)
+
+type ('s, 'msg) running
+(** The watchdogs installed on one run, each armed until it fires. *)
+
+val start : ('s, 'msg) t list -> ('s, 'msg) running
+
+val armed : ('s, 'msg) running -> bool
+(** Whether some watchdog is still armed. An engine tests this before it
+    builds a step's [delivered] and [states], so a run without watchdogs
+    allocates nothing for them. *)
+
+val step :
+  ('s, 'msg) running ->
+  round:Types.round ->
+  delivered:'msg Types.letter list ->
+  states:(Types.party_id * 's) list ->
+  corrupted:Party_set.t ->
+  unit
+(** Check every armed watchdog against this step; each that returns a
+    violation has it recorded and is retired. *)
+
+val violations : ('s, 'msg) running -> violation list
+(** The recorded violations, in firing order. *)
 
 val pp_violation : Format.formatter -> violation -> unit

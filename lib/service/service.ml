@@ -175,22 +175,12 @@ let endpoint_series ~labels reader chaos =
 (* ------------------------------------------------------------------ *)
 (* worker process *)
 
-(* One campaign cell, exactly as [Campaign.run]'s task body computes it:
-   instantiate from the task seed, run with the derived engine seed,
-   catch instantiation/spec exceptions as [Error]. The worker ships the
-   *rendered* outcome JSON — the coordinator re-renders it byte-for-byte
-   (Jsonx round-trips exactly), which is what makes the distributed
-   stream bit-identical to the in-process one. *)
-let run_cell ?(profile = false) spec ~task_seed =
-  try
-    let runner, engine_seed = Campaign.instantiate spec ~task_seed in
-    Ok (runner.Runner.run ~seed:engine_seed ~profile ())
-  with exn -> Error (Printexc.to_string exn)
-
-(* Render an outcome exactly as [Campaign.run]'s task body would have:
-   the profile block (only present when tracing asked for stage spans)
-   is stripped first, so the shipped bytes are identical whether or not
-   the worker profiled the run. *)
+(* Workers ship the *rendered* outcome JSON — the coordinator re-renders
+   it byte-for-byte (Jsonx round-trips exactly), which is what makes the
+   distributed stream bit-identical to the in-process one. The profile
+   block (only present when tracing asked for stage spans) is stripped
+   first, so the shipped bytes are identical whether or not the worker
+   profiled the run. *)
 let render_cell outcome =
   Campaign.json_of_outcome { outcome with Runner.profile = None }
 
@@ -347,7 +337,10 @@ let worker_main ~chaos fd =
                 let t0 = Clock.now () in
                 (* profile only when tracing wants the stage breakdown;
                    the rendered bytes are profile-free either way *)
-                let result = run_cell ~profile:tracing spec ~task_seed in
+                let result =
+                  (Campaign.run_cell ~profile:tracing spec ~task ~task_seed)
+                    .Campaign.result
+                in
                 let t1 = Clock.now () in
                 (match result with
                 | Ok o when tracing ->
@@ -496,6 +489,41 @@ let load_checkpoints ~dir ~spec ~seeds cells =
   (!resumed, !quarantined)
 
 (* ------------------------------------------------------------------ *)
+(* status files *)
+
+(* The pair every --status-out writes, service and in-process alike: one
+   "service-status" JSON line (format_version gate, [fields], then the
+   metric snapshot) and the snapshot's Prometheus twin, both atomic. *)
+let write_status_pair ~path fields snap =
+  let j =
+    Json.Obj
+      (("type", Json.Str "service-status")
+       :: ("format_version", Json.Str Telemetry.format_version_string)
+       :: fields
+      @ [ ("metrics", Metrics.Snapshot.to_json snap) ])
+  in
+  Metrics.write_atomic ~path (Json.to_string j ^ "\n");
+  Metrics.write_atomic ~path:(path ^ ".prom")
+    (Metrics.Snapshot.to_prometheus snap)
+
+let write_status ~path (r : Campaign.result) =
+  let registry = Metrics.create () in
+  Array.iter
+    (fun (tr : Campaign.task_result) ->
+      Metrics.record_cell registry
+        (Result.map Campaign.json_of_outcome tr.Campaign.result))
+    r.Campaign.results;
+  let cells = num (Array.length r.Campaign.results) in
+  write_status_pair ~path
+    [
+      ("name", Json.Str r.Campaign.spec.Campaign.Spec.name);
+      ("status", Json.Str "completed");
+      ("cells_total", cells);
+      ("cells_done", cells);
+    ]
+    (Metrics.snapshot registry)
+
+(* ------------------------------------------------------------------ *)
 (* coordinator *)
 
 type worker = {
@@ -642,31 +670,23 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
               Metrics.Snapshot.merge (Metrics.snapshot registry)
                 (Metrics.Snapshot.of_list (operational @ extra_series))
             in
-            let j =
-              Json.Obj
-                [
-                  ("type", Json.Str "service-status");
-                  ( "format_version",
-                    Json.Str Telemetry.format_version_string );
-                  ("name", Json.Str spec.Campaign.Spec.name);
-                  ("status", Json.Str label);
-                  ("cells_total", num reps);
-                  ("cells_done", num cells_done);
-                  ("computed", num !computed);
-                  ("resumed", num resumed);
-                  ("quarantined", num quarantined);
-                  ("requeued_shards", num !requeued_shards);
-                  ("worker_restarts", num !worker_restarts);
-                  ("protocol_errors", num !protocol_errors);
-                  ("progress_kills", num !progress_kills);
-                  ("elapsed_seconds", Json.Num (now -. started_at));
-                  ("workers", Json.Arr workers_json);
-                  ("metrics", Metrics.Snapshot.to_json snap);
-                ]
-            in
-            Metrics.write_atomic ~path (Json.to_string j ^ "\n");
-            Metrics.write_atomic ~path:(path ^ ".prom")
-              (Metrics.Snapshot.to_prometheus snap));
+            write_status_pair ~path
+              [
+                ("name", Json.Str spec.Campaign.Spec.name);
+                ("status", Json.Str label);
+                ("cells_total", num reps);
+                ("cells_done", num cells_done);
+                ("computed", num !computed);
+                ("resumed", num resumed);
+                ("quarantined", num quarantined);
+                ("requeued_shards", num !requeued_shards);
+                ("worker_restarts", num !worker_restarts);
+                ("protocol_errors", num !protocol_errors);
+                ("progress_kills", num !progress_kills);
+                ("elapsed_seconds", Json.Num (now -. started_at));
+                ("workers", Json.Arr workers_json);
+              ]
+              snap);
         match trace_events with
         | None -> ()
         | Some path ->
@@ -1330,25 +1350,17 @@ let jsonl_lines r =
   let seeds =
     Campaign.task_seeds ~base_seed:r.spec.Campaign.Spec.base_seed ~count:reps
   in
-  (Campaign.json_header r.spec
-  :: List.init reps (fun i ->
+  Campaign.stream_lines r.spec
+    (List.init reps (fun i ->
          match r.cells.(i) with
          | Some payload ->
              Campaign.json_of_task_line ~task:i ~task_seed:seeds.(i) payload
          | None -> assert false (* Completed means every cell is present *)))
-  @ [ Campaign.json_footer r.aggregate ]
+    r.aggregate
 
-let jsonl_string r =
-  String.concat ""
-    (List.map (fun line -> Json.to_string line ^ "\n") (jsonl_lines r))
+let jsonl_string r = Campaign.string_of_lines (jsonl_lines r)
 
-let write_jsonl oc r =
-  List.iter
-    (fun line ->
-      output_string oc (Json.to_string line);
-      output_char oc '\n')
-    (jsonl_lines r);
-  flush oc
+let write_jsonl oc r = Campaign.output_lines oc (jsonl_lines r)
 
 let manifest_json r =
   let m = r.manifest in

@@ -46,10 +46,14 @@
     reproduce the exact baseline stream; the drills in
     [test/test_service.ml] and [bin/service_smoke.ml] enforce it.
 
-    {b Determinism}: workers ship outcomes as rendered
+    {b Determinism}: workers run each cell through
+    {!Aat_campaign.Campaign.run_cell}, the cell body of [Campaign.run],
+    and ship outcomes as rendered
     {!Aat_campaign.Campaign.json_of_outcome} JSON; [Jsonx] parse/render
-    round-trips byte-exactly, and the coordinator re-renders lines and
-    folds the aggregate in task order — so {!jsonl_string} is
+    round-trips byte-exactly, and the coordinator frames the lines with
+    [Campaign.stream_lines] and folds the aggregate in task order with
+    [Campaign.fold_outcome_json], the campaign's one fold — so
+    {!jsonl_string} is
     bit-identical to [Campaign.jsonl_string] of an uninterrupted
     single-process run, whatever the worker count, crash history, chaos
     plan or resume path. The test suite enforces this. *)
@@ -154,6 +158,13 @@ val run :
     [halt_after_cells n] stops the coordinator after [n] fresh cells —
     killing and reaping all workers — and returns [Halted], simulating a
     coordinator crash whose [record_dir] a second [run] resumes from. *)
+
+val write_status : path:string -> Aat_campaign.Campaign.result -> unit
+(** [--status-out] for an in-process campaign: fold every outcome through
+    [Metrics.record_cell], as {!run} does, and write the same
+    [service-status] JSON and Prometheus twin once, with status
+    ["completed"]. Its [campaign_*] series equal those of
+    [run ~status_out] on the same spec. *)
 
 val jsonl_lines : result -> Aat_telemetry.Jsonx.t list
 (** The campaign JSONL stream — header, one task line per cell in task

@@ -231,10 +231,10 @@ let prop_crash_differential_sync =
 let async_tree = Generate.caterpillar ~spine:3 ~legs:1
 let async_inputs = [| 0; 2; 4; 1; 5 |]
 
-let run_async_tree_outcome ?fault_filter ?(crash_faults = []) ~adversary ~seed
-    () =
+let run_async_tree_outcome ?fault_filter ?(crash_faults = []) ?(watchdogs = [])
+    ~adversary ~seed () =
   Async_engine.run_outcome ~n:(Array.length async_inputs) ~t:1 ~seed
-    ?fault_filter ~crash_faults
+    ?fault_filter ~crash_faults ~watchdogs
     ~reactor:
       (Async_aa.tree ~tree:async_tree
          ~inputs:(fun i -> async_inputs.(i))
@@ -274,8 +274,13 @@ let test_crash_runner_within_budget () =
      plan-injected crashes) stays silent. *)
   let runner =
     Runner.tree_aa
-      ~fault_plan:[ Fault_plan.Crash { party = 2; at_round = 2 } ]
-      ~watch:true ~tree:tree5 ~inputs:inputs5 ~t:1
+      ~config:
+        {
+          Runner.Config.default with
+          fault_plan = [ Fault_plan.Crash { party = 2; at_round = 2 } ];
+          watch = true;
+        }
+      ~tree:tree5 ~inputs:inputs5 ~t:1
       ~adversary:(fun () -> Adversary.passive "none")
       ()
   in
@@ -339,18 +344,35 @@ let test_watchdogs_benign_zero_cost () =
 
 let test_corruption_budget_fires () =
   (* Over-budget corruption must be recorded, not thrown: install the
-     budget watchdog at t = 0 while the adversary corrupts one party. *)
-  let outcome =
-    run_tree_outcome
-      ~watchdogs:[ Fault_watchdogs.corruption_budget ~t:0 ]
-      ~adversary:(Strategies.random_silent ~count:1) ~seed:2 ()
-  in
-  match (report_of outcome).Report.watchdog_violations with
-  | [ v ] ->
-      check_string "watchdog name" "corruption-budget" v.Watchdog.watchdog;
-      check "detail names the budget" true
-        (String.length v.Watchdog.detail > 0)
-  | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
+     budget watchdog at t = 0 while the adversary corrupts one party. The
+     party stays corrupted for the whole run, so "exactly one" also pins
+     the retire-after-first-violation policy, on both engines. *)
+  let budget () = [ Fault_watchdogs.corruption_budget ~t:0 ] in
+  List.iter
+    (fun (engine, violations) ->
+      match violations with
+      | [ v ] ->
+          check_string "watchdog name" "corruption-budget" v.Watchdog.watchdog;
+          check "detail names the budget" true
+            (String.length v.Watchdog.detail > 0)
+      | vs ->
+          Alcotest.failf "%s: expected exactly one violation, got %d" engine
+            (List.length vs))
+    [
+      ( "sync",
+        (report_of
+           (run_tree_outcome ~watchdogs:(budget ())
+              ~adversary:(Strategies.random_silent ~count:1) ~seed:2 ()))
+          .Report.watchdog_violations );
+      ( "async",
+        (report_of
+           (run_async_tree_outcome ~watchdogs:(budget ())
+              ~adversary:
+                (Async_engine.with_scheduler
+                   (Strategies.random_silent ~count:1))
+              ~seed:2 ()))
+          .Report.watchdog_violations );
+    ]
 
 let no_letters : unit Types.letter list = []
 

@@ -4,7 +4,8 @@
    deterministic [campaign_*] series are bit-identical for any worker
    count — in-process *and* across the multi-process service under a
    seeded wire-chaos plan — the status file stays parseable under a
-   concurrent reader through every atomic rewrite, and the Chrome trace
+   concurrent reader through every atomic rewrite, the in-process status
+   file matches the service's, and the Chrome trace
    the service writes is well-formed (balanced B/E per (pid, tid),
    time-sorted). *)
 
@@ -363,6 +364,47 @@ let test_status_atomic_under_reader () =
   Sys.remove path;
   Sys.remove (path ^ ".prom")
 
+(* In-process --status-out writes the same pair as the service: a header
+   the format_version gate accepts, and campaign_* series (JSON and
+   Prometheus) equal to the served run's on the same spec. *)
+let test_inprocess_status_matches_service () =
+  let spec = spec 6 in
+  let served = Filename.temp_file "aat-served" ".json" in
+  let inproc = Filename.temp_file "aat-inproc" ".json" in
+  (match Service.run ~workers:2 ~status_out:served spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("Service.run: " ^ e));
+  Service.write_status ~path:inproc (Campaign.run ~workers:1 spec);
+  let status path =
+    match Json.of_string (String.trim (read_file path)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let a = status inproc and b = status served in
+  check "in-process header passes the format_version gate" true
+    (Telemetry.check_format_version a = Ok ());
+  let str name j = Option.bind (Json.member name j) Json.to_str in
+  check "same status type" true (str "type" a = str "type" b);
+  let series j =
+    match Option.map M.Snapshot.of_json (Json.member "metrics" j) with
+    | Some (Ok snap) -> json_bytes (campaign_series snap)
+    | _ -> Alcotest.fail "status file carries no metric snapshot"
+  in
+  check "campaign series present" true (series a <> json_bytes []);
+  check_string "campaign series equal" (series b) (series a);
+  let campaign_prom path =
+    String.split_on_char '\n' (read_file (path ^ ".prom"))
+    |> List.filter (fun l ->
+           let has_prefix p =
+             String.length l >= String.length p
+             && String.sub l 0 (String.length p) = p
+           in
+           has_prefix "campaign_" || has_prefix "# TYPE campaign_")
+  in
+  check "prometheus campaign series equal" true
+    (campaign_prom inproc = campaign_prom served);
+  List.iter Sys.remove [ served; served ^ ".prom"; inproc; inproc ^ ".prom" ]
+
 (* ------------------------------------------------------------------ *)
 (* trace well-formedness *)
 
@@ -443,6 +485,8 @@ let () =
           Alcotest.test_case "write_atomic" `Quick test_write_atomic;
           Alcotest.test_case "status file under concurrent reader" `Slow
             test_status_atomic_under_reader;
+          Alcotest.test_case "in-process status file = service's" `Slow
+            test_inprocess_status_matches_service;
           Alcotest.test_case "trace well-formed" `Slow test_trace_well_formed;
         ] );
     ]

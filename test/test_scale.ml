@@ -216,8 +216,7 @@ let golden_n300 =
     ("iterated-midpoint", "7986f6f4801f0756a08d4c688e4cc451");
   ]
 
-let check_golden ~n ~t expected =
-  let specs = golden_specs ~n ~t in
+let check_golden ~specs ~n expected =
   List.iter
     (fun (name, want) ->
       let spec = List.find (fun s -> s.Campaign.Spec.name = name) specs in
@@ -232,13 +231,61 @@ let check_golden ~n ~t expected =
                 want got))
     expected
 
-let test_goldens_n7 () = check_golden ~n:7 ~t:2 golden_n7
+let test_goldens_n7 () =
+  check_golden ~specs:(golden_specs ~n:7 ~t:2) ~n:7 golden_n7
+
+(* Fault-plan cells, watchdogs on. The passive cells pin the streamed
+   send path with a mid-run crash and omission, the silent-adversary
+   cells the full path (three crash victims, so at least one is honest
+   whichever two parties the adversary silences), async-tree-aa the
+   async engine's crash handling. Recorded while a crash still retracted
+   the crashing party's letters after its send; landing the crash before
+   the send must give the same bytes. *)
+let golden_fault_specs ~n ~t =
+  let open Campaign.Spec in
+  let star9 = Star_tree (Exactly 9) and path12 = Path_tree (Exactly 12) in
+  let with_plan plan s =
+    match Fault_plan_io.parse plan with
+    | Ok p -> { s with faults = Fault_plan p }
+    | Error m -> failwith m
+  in
+  let passive = with_plan "crash:1@2;omission:0.15" in
+  let active = with_plan "crash:0@2;crash:3@3;crash:5@4;omission:0.1" in
+  [
+    passive (golden_spec ~n ~t "tree-aa" Tree_aa star9 Random_vertices Passive);
+    passive
+      (golden_spec ~n ~t "realaa" (Real_aa { eps = 1.0 }) path12
+         (Linspace_reals 1000.) Passive);
+    active
+      (golden_spec ~n ~t "nr-baseline" Nr_baseline star9 Random_vertices
+         Random_silent);
+    active
+      (golden_spec ~n ~t "iterated-midpoint"
+         (Iterated_midpoint { eps = 1.0 })
+         path12 (Linspace_reals 1000.) Random_silent);
+    passive
+      (golden_spec ~n ~t "async-tree-aa" Async_tree_aa star9 Random_vertices
+         Passive);
+  ]
+
+let golden_faults_n7 =
+  [
+    ("tree-aa", "55f9a6bdaa74b7b3683c0a94626b2836");
+    ("realaa", "e32bc7c3b9f01a353c63f8cc6d4cb035");
+    ("nr-baseline", "af9004026a70dea0e15ba449a873ca22");
+    ("iterated-midpoint", "32966ae557c6bcf03b5413817857449d");
+    ("async-tree-aa", "4053c34cade5cb913f120fff31fdcd9a");
+  ]
+
+let test_fault_goldens_n7 () =
+  check_golden ~specs:(golden_fault_specs ~n:7 ~t:2) ~n:7 golden_faults_n7
 
 (* The n = 300 rows take ~1.5 min together — out of tier-1, attached to
    @scale-smoke via AAT_SCALE_TESTS=1. *)
 let test_goldens_n300 () =
   match Sys.getenv_opt "AAT_SCALE_TESTS" with
-  | Some "1" -> check_golden ~n:300 ~t:99 golden_n300
+  | Some "1" ->
+      check_golden ~specs:(golden_specs ~n:300 ~t:99) ~n:300 golden_n300
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -296,6 +343,8 @@ let () =
       ( "goldens",
         [
           Alcotest.test_case "n=7 all protocols" `Quick test_goldens_n7;
+          Alcotest.test_case "n=7 fault-plan cells" `Quick
+            test_fault_goldens_n7;
           Alcotest.test_case "n=300 (AAT_SCALE_TESTS=1)" `Slow
             test_goldens_n300;
         ] );

@@ -2,7 +2,7 @@
    determinism contract (coordinator sharding over 1/2/4 worker
    *processes* produces JSONL bit-identical to the in-process
    [Campaign.run ~workers:1] — which also pins the wire round-trip and
-   the [fold_outcome_json] aggregate twin), crash-resume (a halted
+   the aggregate fold over shipped JSON), crash-resume (a halted
    coordinator's record-dir restores every checkpointed cell untouched
    and recomputes nothing), the checksummed wire framing (fuzzed frame
    recovery: typed errors, never an exception escape), checkpoint
@@ -16,7 +16,7 @@ let check_string = Alcotest.(check string)
 
 (* Small random specs spanning protocols, adversaries and fault modes —
    the footer line folds the aggregate, so stream equality also proves
-   the JSON-side aggregate fold matches the outcome-side one across
+   the fold over shipped JSON matches the in-process one across
    excused / timed-out / faulted cells. *)
 let spec_of_seed seed =
   let open Campaign.Spec in
