@@ -206,8 +206,12 @@ let () =
      them affects a single digit of the tables (the parallel tables run
      on the deterministic Pool; capture and measurement only observe). *)
   let rec extract_opt name acc = function
-    | flag :: n :: rest when flag = name ->
-        (Some (int_of_string n), List.rev_append acc rest)
+    | flag :: n :: rest when flag = name -> (
+        match Codec.parse Codec.int n with
+        | Ok n -> (Some n, List.rev_append acc rest)
+        | Error m ->
+            Printf.eprintf "bad %s: %s\n" name m;
+            exit 1)
     | x :: rest -> extract_opt name (x :: acc) rest
     | [] -> (None, List.rev acc)
   in

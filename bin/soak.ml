@@ -134,20 +134,12 @@ let soak runs seed workers chaos spec_file distributed =
     match spec_file with
     | None -> family_specs ~runs ~seed ~faults ~watchdogs
     | Some path -> (
-        (* A single spec parsed through the same Spec_io codec as
-           'treeaa campaign --spec' and the flight-record headers; the
+        (* A single spec read like 'treeaa campaign --spec'; the
            grid-shape flags (--runs, --seed, --chaos) are ignored. *)
-        let ic = open_in_bin path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match
-          Result.bind
-            (Telemetry.Json.of_string (String.trim contents))
-            Spec_io.of_json
-        with
+        match Spec_io.read_file path with
         | Ok spec -> [ spec ]
         | Error m ->
-            Printf.eprintf "%s: bad campaign spec: %s\n" path m;
+            prerr_endline m;
             exit 1)
   in
   List.iter

@@ -15,43 +15,6 @@ open Cmdliner
 
 (* ---------- shared arguments ---------- *)
 
-let read_tree path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  Tree_io.of_edge_list s
-
-let tree_of_spec spec =
-  (* family specs: path:N, star:N, caterpillar:SPINE:LEGS, spider:LEGS:LEN,
-     balanced:ARITY:DEPTH, broom:HANDLE:BRISTLES, random:N:SEED,
-     diameter:N:D:SEED *)
-  match String.split_on_char ':' spec with
-  | [ "path"; n ] -> Generate.path (int_of_string n)
-  | [ "star"; n ] -> Generate.star (int_of_string n)
-  | [ "caterpillar"; spine; legs ] ->
-      Generate.caterpillar ~spine:(int_of_string spine) ~legs:(int_of_string legs)
-  | [ "spider"; legs; len ] ->
-      Generate.spider ~legs:(int_of_string legs) ~leg_length:(int_of_string len)
-  | [ "balanced"; arity; depth ] ->
-      Generate.balanced ~arity:(int_of_string arity) ~depth:(int_of_string depth)
-  | [ "broom"; handle; bristles ] ->
-      Generate.broom ~handle:(int_of_string handle) ~bristles:(int_of_string bristles)
-  | [ "random"; n; seed ] ->
-      Generate.random (Rng.create (int_of_string seed)) (int_of_string n)
-  | [ "diameter"; n; d; seed ] ->
-      Generate.random_of_diameter
-        (Rng.create (int_of_string seed))
-        ~n:(int_of_string n) ~diameter:(int_of_string d)
-  | _ ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown tree spec %S (try path:N, star:N, caterpillar:S:L, \
-               spider:L:N, balanced:A:D, broom:H:B, random:N:SEED, \
-               diameter:N:D:SEED)"
-              spec))
-
 let tree_term =
   let file =
     Arg.(
@@ -68,10 +31,24 @@ let tree_term =
                 spider:L:N, balanced:A:D, broom:H:B, random:N:SEED, \
                 diameter:N:D:SEED.")
   in
+  (* a malformed or out-of-range tree is a usage error naming its source *)
+  let build source make =
+    match make () with
+    | tree -> Ok tree
+    | exception (Invalid_argument m | Tree.Invalid_tree m | Sys_error m) ->
+        Error (Printf.sprintf "bad tree %s: %s" source m)
+  in
   let combine file spec =
     match (file, spec) with
-    | Some path, None -> Ok (read_tree path)
-    | None, Some s -> ( try Ok (tree_of_spec s) with Invalid_argument m -> Error m)
+    | Some path, None ->
+        build ("file " ^ path) (fun () ->
+            In_channel.with_open_bin path In_channel.input_all
+            |> Tree_io.of_edge_list)
+    | None, Some s -> (
+        match Codec.parse Generate.spec s with
+        | Ok g ->
+            build (Printf.sprintf "spec %S" s) (fun () -> Generate.of_spec g)
+        | Error m -> Error (Printf.sprintf "bad tree spec %S: %s" s m))
     | None, None -> Error "provide a tree via --file or --gen"
     | Some _, Some _ -> Error "--file and --gen are mutually exclusive"
   in
@@ -274,36 +251,6 @@ let run_cmd =
        $ watch_term))
 
 (* ---------- campaign ---------- *)
-
-(* The campaign flag grammars live in the observability layer's Spec_io
-   (flight records persist specs with the same vocabulary), so the CLI
-   and record files can never drift apart. *)
-let parse_size = Spec_io.size_of_string
-let parse_tree_family = Spec_io.tree_family_of_string
-let parse_campaign_protocol = Spec_io.protocol_of_string
-let parse_campaign_adversary = Spec_io.adversary_of_string
-let parse_campaign_inputs = Spec_io.inputs_of_string
-
-(* Spec files are the same JSON Spec_io embeds in flight-record headers:
-   one [treeaa campaign --spec] file describes the whole grid. *)
-let load_spec_file path =
-  let ( let* ) = Result.bind in
-  let* contents =
-    try
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Ok s
-    with Sys_error m -> Error m
-  in
-  let* json =
-    Result.map_error
-      (fun m -> Printf.sprintf "%s: not JSON: %s" path m)
-      (Telemetry.Json.of_string (String.trim contents))
-  in
-  Result.map_error
-    (fun m -> Printf.sprintf "%s: bad campaign spec: %s" path m)
-    (Spec_io.of_json json)
 
 let spec_file_term =
   Arg.(
@@ -514,18 +461,20 @@ let campaign_run_cmd =
     let ( let* ) = Result.bind in
     let* spec =
       match spec_file with
-      | Some path -> load_spec_file path
+      | Some path -> Spec_io.read_file path
       | None ->
-          let* protocol = parse_campaign_protocol ~eps protocol in
-          let* adversary = parse_campaign_adversary adversary in
-          let* inputs = parse_campaign_inputs inputs in
-          let* tree = parse_tree_family tree in
-          let* n = parse_size n in
+          (* the flag grammars are the ones flight records persist *)
+          let* protocol = Spec_io.protocol_of_string ~eps protocol in
+          let* adversary = Spec_io.adversary_of_string adversary in
+          let* inputs = Spec_io.inputs_of_string inputs in
+          let* tree = Spec_io.tree_family_of_string tree in
+          let* n = Spec_io.size_of_string n in
           let* t_budget =
             if t = "third" then Ok Campaign.Spec.Up_to_third
             else
-              try Ok (Campaign.Spec.Fixed_t (int_of_string t))
-              with _ -> Error (Printf.sprintf "bad --t %S" t)
+              match Codec.parse Codec.int t with
+              | Ok t -> Ok (Campaign.Spec.Fixed_t t)
+              | Error m -> Error ("bad --t: " ^ m)
           in
           let* faults =
             match (fault_plan_str, chaos) with
@@ -800,7 +749,7 @@ let campaign_serve_cmd =
       heartbeat_timeout max_respawns respawn_backoff progress_timeout
       wire_chaos status_out trace_events manifest_out =
     let ( let* ) = Result.bind in
-    let* spec = load_spec_file spec_file in
+    let* spec = Spec_io.read_file spec_file in
     let* () = Campaign.Spec.validate spec in
     let* wire_chaos =
       match Service_chaos.parse wire_chaos with
@@ -1248,19 +1197,7 @@ let status_cmd =
   in
   let action path =
     let ( let* ) = Result.bind in
-    let* contents =
-      try
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Ok s
-      with Sys_error m -> Error m
-    in
-    let* json =
-      Result.map_error
-        (fun m -> Printf.sprintf "%s: not JSON: %s" path m)
-        (Telemetry.Json.of_string (String.trim contents))
-    in
+    let* json = Telemetry.Json.read_file path in
     let mem name = Telemetry.Json.member name json in
     let num name = Option.bind (mem name) Telemetry.Json.to_float in
     let str name = Option.bind (mem name) Telemetry.Json.to_str in

@@ -119,92 +119,49 @@ let crossover rng a b =
 (* ------------------------------------------------------------------ *)
 (* codec *)
 
-let placement_char = function Top -> 't' | Bottom -> 'b' | Spread -> 's'
+module C = Aat_util.Codec
 
-let placement_of_char = function
-  | 't' -> Some Top
-  | 'b' -> Some Bottom
-  | 's' -> Some Spread
-  | _ -> None
+let at_least lo =
+  C.conv
+    (fun n ->
+      if n >= lo then Ok n else Error (Printf.sprintf "%d is below %d" n lo))
+    Fun.id C.int
 
-let victims_to_string v = Printf.sprintf "%d%c" v.count (placement_char v.placement)
+let victims =
+  C.conv
+    (fun (count, placement) -> Ok { count; placement })
+    (fun v -> (v.count, v.placement))
+    (C.suffix (at_least 1) [ ("t", Top); ("b", Bottom); ("s", Spread) ])
 
-let victims_of_string s =
-  let len = String.length s in
-  if len < 2 then Error (Printf.sprintf "genome: bad victim set %S" s)
-  else
-    match
-      (int_of_string_opt (String.sub s 0 (len - 1)), placement_of_char s.[len - 1])
-    with
-    | Some count, Some placement when count >= 1 -> Ok { count; placement }
-    | _ -> Error (Printf.sprintf "genome: bad victim set %S" s)
-
-let attack_to_string = function
-  | Passive -> "none"
-  | Silent v -> "silent:" ^ victims_to_string v
-  | Crash { victims; at_round } ->
-      Printf.sprintf "crash:%s@%d" (victims_to_string victims) at_round
-  | Spoiler { relentless } -> if relentless then "spoiler!" else "spoiler"
-  | Wedge -> "wedge"
-
-let attack_of_string s =
-  match s with
-  | "none" -> Ok Passive
-  | "spoiler" -> Ok (Spoiler { relentless = false })
-  | "spoiler!" -> Ok (Spoiler { relentless = true })
-  | "wedge" -> Ok Wedge
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "silent" ->
-          Result.map
-            (fun v -> Silent v)
-            (victims_of_string (String.sub s (i + 1) (String.length s - i - 1)))
-      | Some i when String.sub s 0 i = "crash" -> (
-          let rest = String.sub s (i + 1) (String.length s - i - 1) in
-          match String.index_opt rest '@' with
-          | Some j -> (
-              match
-                int_of_string_opt
-                  (String.sub rest (j + 1) (String.length rest - j - 1))
-              with
-              | Some at_round when at_round >= 1 ->
-                  Result.map
-                    (fun victims -> Crash { victims; at_round })
-                    (victims_of_string (String.sub rest 0 j))
-              | _ -> Error (Printf.sprintf "genome: bad crash round in %S" s))
-          | None -> Error (Printf.sprintf "genome: crash needs @round in %S" s))
-      | _ -> Error (Printf.sprintf "genome: unknown attack %S" s))
-
-let scheduler_to_string = function
-  | Fifo -> "fifo"
-  | Lifo -> "lifo"
-  | Random_order -> "rand"
-
-let scheduler_of_string = function
-  | "fifo" -> Ok Fifo
-  | "lifo" -> Ok Lifo
-  | "rand" -> Ok Random_order
-  | s -> Error (Printf.sprintf "genome: unknown scheduler %S" s)
-
-let to_string g =
-  String.concat "+"
+let attack =
+  C.cases "attack"
     [
-      attack_to_string g.first;
-      attack_to_string g.second;
-      scheduler_to_string g.scheduler;
+      C.const "none" Passive;
+      C.case "silent" victims
+        (fun v -> Silent v)
+        (function Silent v -> Some v | _ -> None);
+      C.case "crash" (C.pair '@' victims (at_least 1))
+        (fun (victims, at_round) -> Crash { victims; at_round })
+        (function
+          | Crash { victims; at_round } -> Some (victims, at_round) | _ -> None);
+      C.const "spoiler" (Spoiler { relentless = false });
+      C.const "spoiler!" (Spoiler { relentless = true });
+      C.const "wedge" Wedge;
     ]
 
-let of_string s =
-  match String.split_on_char '+' s with
-  | [ a; b; sched ] ->
-      Result.bind (attack_of_string a) (fun first ->
-          Result.bind (attack_of_string b) (fun second ->
-              Result.map
-                (fun scheduler -> { first; second; scheduler })
-                (scheduler_of_string sched)))
-  | _ ->
-      Error
-        (Printf.sprintf "genome: expected <attack>+<attack>+<scheduler>, got %S" s)
+let scheduler =
+  C.cases "scheduler"
+    [ C.const "fifo" Fifo; C.const "lifo" Lifo; C.const "rand" Random_order ]
+
+(* the parts split at the first and second '+' *)
+let codec =
+  C.conv
+    (fun (first, (second, scheduler)) -> Ok { first; second; scheduler })
+    (fun g -> (g.first, (g.second, g.scheduler)))
+    (C.pair '+' attack (C.pair '+' attack scheduler))
+
+let to_string = C.print codec
+let of_string = C.parse codec
 
 (* ------------------------------------------------------------------ *)
 (* compilation *)

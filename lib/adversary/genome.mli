@@ -84,6 +84,9 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}: [of_string (to_string g) = Ok g]. *)
 
+val codec : t Aat_util.Codec.t
+(** The grammar behind both, for grammars that embed a genome. *)
+
 (** {1 Compilation}
 
     Victim id lists are resolved here, where [n] is known (campaign

@@ -28,6 +28,7 @@
     - analysis: {!Fekete}, {!Chain}, {!Rounds}, {!Tree_verdict} *)
 
 module Rng = Aat_util.Rng
+module Codec = Aat_util.Codec
 
 (* trees *)
 module Tree = Aat_tree.Labeled_tree

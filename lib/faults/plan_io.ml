@@ -1,187 +1,76 @@
 module J = Aat_telemetry.Jsonx
+module C = Aat_util.Codec
 
-(* Compact plan grammar, one fault per ';'-separated clause, following the
-   colon conventions of the CLI's tree/input specs:
+(* The compact plan grammar (see plan_io.mli), one fault per ';'-separated
+   clause. A window splits at every '-': "0--0" is no window, although
+   its second bound alone would read as -0 = 0. *)
 
-     crash:P@R                      party P silent forever from round R
-     crash-recover:P@A-B            party P silent during rounds A..B
-     omission:PROB                  whole-network omission
-     omission:PROB:party:P          scoped to letters touching P
-     omission:PROB:pair:S>D         scoped to the directed channel S->D
-     duplicate:PROB[:scope]         async only
-     delay:PROB:BY[:scope]         async only, defer BY events
-     partition:B1|B2|...@A-B        blocks are comma-separated party lists
+let window =
+  C.conv
+    (function [ a; b ] -> Ok (a, b) | _ -> Error "expected FROM-TO")
+    (fun (a, b) -> [ a; b ])
+    (C.list '-' C.int)
 
-   "none" (or the empty string) is the empty plan. *)
+let scope =
+  C.cases "scope"
+    [
+      C.case "party" C.int
+        (fun p -> Plan.Party p)
+        (function Plan.Party p -> Some p | _ -> None);
+      C.case "pair" (C.pair '>' C.int C.int)
+        (fun (src, dst) -> Plan.Pair { src; dst })
+        (function Plan.Pair { src; dst } -> Some (src, dst) | _ -> None);
+    ]
 
-let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
+(* [body] optionally followed by ":scope"; no scope is the whole network *)
+let scoped body =
+  C.conv
+    (fun (x, s) -> Ok (x, Option.value s ~default:Plan.All))
+    (fun (x, s) -> (x, if s = Plan.All then None else Some s))
+    (C.pair_opt ':' body scope)
 
-let int_of s what =
-  match int_of_string_opt (String.trim s) with
-  | Some v -> Ok v
-  | None -> fail "%s: expected an integer, got %S" what s
+let fault =
+  C.cases "fault"
+    [
+      C.case "crash" (C.pair '@' C.int C.int)
+        (fun (party, at_round) -> Plan.Crash { party; at_round })
+        (function
+          | Plan.Crash { party; at_round } -> Some (party, at_round) | _ -> None);
+      C.case "crash-recover" (C.pair '@' C.int window)
+        (fun (party, (from_round, to_round)) ->
+          Plan.Crash_recover { party; from_round; to_round })
+        (function
+          | Plan.Crash_recover { party; from_round; to_round } ->
+              Some (party, (from_round, to_round))
+          | _ -> None);
+      C.case "omission" (scoped C.float)
+        (fun (prob, scope) -> Plan.Omission { prob; scope })
+        (function Plan.Omission { prob; scope } -> Some (prob, scope) | _ -> None);
+      C.case "duplicate" (scoped C.float)
+        (fun (prob, scope) -> Plan.Duplicate { prob; scope })
+        (function
+          | Plan.Duplicate { prob; scope } -> Some (prob, scope) | _ -> None);
+      C.case "delay" (C.pair ':' C.float (scoped C.int))
+        (fun (prob, (by, scope)) -> Plan.Delay { prob; scope; by })
+        (function
+          | Plan.Delay { prob; scope; by } -> Some (prob, (by, scope)) | _ -> None);
+      C.case "partition" (C.pair '@' (C.list '|' (C.list ',' C.int)) window)
+        (fun (blocks, (from_round, to_round)) ->
+          Plan.Partition { blocks; from_round; to_round })
+        (function
+          | Plan.Partition { blocks; from_round; to_round } ->
+              Some (blocks, (from_round, to_round))
+          | _ -> None);
+    ]
 
-let float_of s what =
-  match float_of_string_opt (String.trim s) with
-  | Some v -> Ok v
-  | None -> fail "%s: expected a number, got %S" what s
+let codec =
+  C.conv
+    (fun plan -> Result.map (fun () -> plan) (Plan.validate plan))
+    Fun.id
+    (C.clauses ";" fault)
 
-let ( let* ) r f = Result.bind r f
-
-let parse_at s what =
-  (* "P@R" *)
-  match String.split_on_char '@' s with
-  | [ p; r ] ->
-      let* p = int_of p what in
-      let* r = int_of r what in
-      Ok (p, r)
-  | _ -> fail "%s: expected PARTY@ROUND, got %S" what s
-
-let parse_window s what =
-  (* "A-B" *)
-  match String.split_on_char '-' s with
-  | [ a; b ] ->
-      let* a = int_of a what in
-      let* b = int_of b what in
-      Ok (a, b)
-  | _ -> fail "%s: expected FROM-TO, got %S" what s
-
-let parse_scope tokens what =
-  match tokens with
-  | [] -> Ok Plan.All
-  | [ "party"; p ] ->
-      let* p = int_of p what in
-      Ok (Plan.Party p)
-  | [ "pair"; sd ] -> (
-      match String.split_on_char '>' sd with
-      | [ s; d ] ->
-          let* src = int_of s what in
-          let* dst = int_of d what in
-          Ok (Plan.Pair { src; dst })
-      | _ -> fail "%s: expected pair:SRC>DST, got pair:%S" what sd)
-  | _ ->
-      fail "%s: bad scope %S (want party:P or pair:S>D)" what
-        (String.concat ":" tokens)
-
-let parse_fault clause =
-  match String.split_on_char ':' (String.trim clause) with
-  | "crash" :: [ spec ] ->
-      let* party, at_round = parse_at spec "crash" in
-      Ok (Plan.Crash { party; at_round })
-  | "crash-recover" :: [ spec ] -> (
-      match String.index_opt spec '@' with
-      | Some i ->
-          let* party = int_of (String.sub spec 0 i) "crash-recover" in
-          let* from_round, to_round =
-            parse_window
-              (String.sub spec (i + 1) (String.length spec - i - 1))
-              "crash-recover"
-          in
-          Ok (Plan.Crash_recover { party; from_round; to_round })
-      | None -> fail "crash-recover: expected PARTY@FROM-TO, got %S" spec)
-  | "omission" :: prob :: scope ->
-      let* prob = float_of prob "omission" in
-      let* scope = parse_scope scope "omission" in
-      Ok (Plan.Omission { prob; scope })
-  | "duplicate" :: prob :: scope ->
-      let* prob = float_of prob "duplicate" in
-      let* scope = parse_scope scope "duplicate" in
-      Ok (Plan.Duplicate { prob; scope })
-  | "delay" :: prob :: by :: scope ->
-      let* prob = float_of prob "delay" in
-      let* by = int_of by "delay" in
-      let* scope = parse_scope scope "delay" in
-      Ok (Plan.Delay { prob; scope; by })
-  | "partition" :: [ spec ] -> (
-      match String.index_opt spec '@' with
-      | None -> fail "partition: expected BLOCKS@FROM-TO, got %S" spec
-      | Some i ->
-          let blocks_s = String.sub spec 0 i in
-          let* from_round, to_round =
-            parse_window
-              (String.sub spec (i + 1) (String.length spec - i - 1))
-              "partition"
-          in
-          let* blocks =
-            List.fold_right
-              (fun block acc ->
-                let* acc = acc in
-                let* parties =
-                  List.fold_right
-                    (fun p acc ->
-                      let* acc = acc in
-                      let* p = int_of p "partition" in
-                      Ok (p :: acc))
-                    (String.split_on_char ',' block)
-                    (Ok [])
-                in
-                Ok (parties :: acc))
-              (String.split_on_char '|' blocks_s)
-              (Ok [])
-          in
-          Ok (Plan.Partition { blocks; from_round; to_round }))
-  | kind :: _ ->
-      fail
-        "unknown fault %S (want crash, crash-recover, omission, duplicate, \
-         delay or partition)"
-        kind
-  | [] -> fail "empty fault clause"
-
-let parse s =
-  let s = String.trim s in
-  if s = "" || s = "none" then Ok Plan.empty
-  else
-    let clauses =
-      List.filter
-        (fun c -> String.trim c <> "")
-        (String.split_on_char ';' s)
-    in
-    let* plan =
-      List.fold_right
-        (fun clause acc ->
-          let* acc = acc in
-          let* fault = parse_fault clause in
-          Ok (fault :: acc))
-        clauses (Ok [])
-    in
-    let* () = Plan.validate plan in
-    Ok plan
-
-let scope_to_string = function
-  | Plan.All -> ""
-  | Plan.Party p -> Printf.sprintf ":party:%d" p
-  | Plan.Pair { src; dst } -> Printf.sprintf ":pair:%d>%d" src dst
-
-let float_to_string f =
-  (* shortest round-tripping decimal keeps to_string/parse inverses *)
-  let s = Printf.sprintf "%.12g" f in
-  s
-
-let fault_to_string = function
-  | Plan.Crash { party; at_round } -> Printf.sprintf "crash:%d@%d" party at_round
-  | Plan.Crash_recover { party; from_round; to_round } ->
-      Printf.sprintf "crash-recover:%d@%d-%d" party from_round to_round
-  | Plan.Omission { prob; scope } ->
-      Printf.sprintf "omission:%s%s" (float_to_string prob)
-        (scope_to_string scope)
-  | Plan.Duplicate { prob; scope } ->
-      Printf.sprintf "duplicate:%s%s" (float_to_string prob)
-        (scope_to_string scope)
-  | Plan.Delay { prob; scope; by } ->
-      Printf.sprintf "delay:%s:%d%s" (float_to_string prob) by
-        (scope_to_string scope)
-  | Plan.Partition { blocks; from_round; to_round } ->
-      Printf.sprintf "partition:%s@%d-%d"
-        (String.concat "|"
-           (List.map
-              (fun b -> String.concat "," (List.map string_of_int b))
-              blocks))
-        from_round to_round
-
-let to_string = function
-  | [] -> "none"
-  | plan -> String.concat ";" (List.map fault_to_string plan)
-
+let parse = C.parse codec
+let to_string = C.print codec
 let to_json plan = J.Str (to_string plan)
 
 let of_json = function

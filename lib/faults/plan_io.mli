@@ -15,7 +15,8 @@
     v}
 
     ["none"] (or the empty string) is the empty plan. [parse] and
-    {!to_string} are mutual inverses up to float rendering. *)
+    {!to_string} are mutual inverses up to float rendering; the lexical
+    rules are {!Aat_util.Codec}'s. *)
 
 val parse : string -> (Plan.t, string) result
 (** Parse and {!Plan.validate} (without an [n] bound — the campaign

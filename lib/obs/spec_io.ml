@@ -15,141 +15,104 @@ module Plan_io = Aat_faults.Plan_io
 (* CLI string grammar (moved here from the CLI so record tooling and the
    campaign command parse identically) *)
 
-let size_of_string s =
-  let int v =
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "bad size %S (want N or LO-HI)" s)
-  in
-  match String.index_opt s '-' with
-  | Some i ->
-      let ( let* ) = Result.bind in
-      let* lo = int (String.sub s 0 i) in
-      let* hi = int (String.sub s (i + 1) (String.length s - i - 1)) in
-      Ok (Spec.Between (lo, hi))
-  | None -> Result.map (fun n -> Spec.Exactly n) (int s)
+module C = Aat_util.Codec
 
-let size_to_string = function
-  | Spec.Exactly n -> string_of_int n
-  | Spec.Between (lo, hi) -> Printf.sprintf "%d-%d" lo hi
+(* "N" or "LO-HI", split at the first '-' *)
+let size =
+  C.conv
+    (function
+      | n, None -> Ok (Spec.Exactly n) | lo, Some hi -> Ok (Spec.Between (lo, hi)))
+    (function
+      | Spec.Exactly n -> (n, None) | Spec.Between (lo, hi) -> (lo, Some hi))
+    (C.pair_opt '-' C.int C.int)
 
-let tree_family_of_string s =
+let tree_family =
   let open Spec in
-  let ( let* ) = Result.bind in
-  match String.split_on_char ':' s with
-  | [ "any" ] -> Ok Any_tree
-  | [ "path"; n ] -> Result.map (fun n -> Path_tree n) (size_of_string n)
-  | [ "star"; n ] -> Result.map (fun n -> Star_tree n) (size_of_string n)
-  | [ "caterpillar"; spine; legs ] ->
-      let* spine = size_of_string spine in
-      let* legs = size_of_string legs in
-      Ok (Caterpillar_tree { spine; legs })
-  | [ "spider"; legs; len ] ->
-      let* legs = size_of_string legs in
-      let* leg_length = size_of_string len in
-      Ok (Spider_tree { legs; leg_length })
-  | [ "balanced"; arity; depth ] ->
-      let* arity = size_of_string arity in
-      let* depth = size_of_string depth in
-      Ok (Balanced_tree { arity; depth })
-  | [ "random"; n ] -> Result.map (fun n -> Random_tree n) (size_of_string n)
-  | _ ->
-      Error
-        (Printf.sprintf
-           "unknown tree family %S (try any, path:SIZE, star:SIZE, \
-            caterpillar:SIZE:SIZE, spider:SIZE:SIZE, balanced:SIZE:SIZE, \
-            random:SIZE; SIZE is N or LO-HI)"
-           s)
+  let two = C.pair ':' size size in
+  C.cases "tree family"
+    [
+      C.const "any" Any_tree;
+      C.case "path" size
+        (fun n -> Path_tree n)
+        (function Path_tree n -> Some n | _ -> None);
+      C.case "star" size
+        (fun n -> Star_tree n)
+        (function Star_tree n -> Some n | _ -> None);
+      C.case "caterpillar" two
+        (fun (spine, legs) -> Caterpillar_tree { spine; legs })
+        (function
+          | Caterpillar_tree { spine; legs } -> Some (spine, legs) | _ -> None);
+      C.case "spider" two
+        (fun (legs, leg_length) -> Spider_tree { legs; leg_length })
+        (function
+          | Spider_tree { legs; leg_length } -> Some (legs, leg_length)
+          | _ -> None);
+      C.case "balanced" two
+        (fun (arity, depth) -> Balanced_tree { arity; depth })
+        (function
+          | Balanced_tree { arity; depth } -> Some (arity, depth) | _ -> None);
+      C.case "random" size
+        (fun n -> Random_tree n)
+        (function Random_tree n -> Some n | _ -> None);
+    ]
 
-let tree_family_to_string = function
-  | Spec.Any_tree -> "any"
-  | Spec.Path_tree n -> "path:" ^ size_to_string n
-  | Spec.Star_tree n -> "star:" ^ size_to_string n
-  | Spec.Caterpillar_tree { spine; legs } ->
-      Printf.sprintf "caterpillar:%s:%s" (size_to_string spine)
-        (size_to_string legs)
-  | Spec.Spider_tree { legs; leg_length } ->
-      Printf.sprintf "spider:%s:%s" (size_to_string legs)
-        (size_to_string leg_length)
-  | Spec.Balanced_tree { arity; depth } ->
-      Printf.sprintf "balanced:%s:%s" (size_to_string arity)
-        (size_to_string depth)
-  | Spec.Random_tree n -> "random:" ^ size_to_string n
-
-let protocol_of_string ~eps s =
+let adversary =
   let open Spec in
-  match s with
-  | "tree-aa" -> Ok Tree_aa
-  | "nr-baseline" -> Ok Nr_baseline
-  | "path-aa" -> Ok Path_aa
-  | "known-path-aa" -> Ok Known_path_aa
-  | "realaa" -> Ok (Real_aa { eps })
-  | "iterated-midpoint" -> Ok (Iterated_midpoint { eps })
-  | "async-tree-aa" -> Ok Async_tree_aa
-  | "round-sim-tree-aa" -> Ok Round_sim_tree_aa
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown protocol %S (have: tree-aa, nr-baseline, path-aa, \
-            known-path-aa, realaa, iterated-midpoint, async-tree-aa, \
-            round-sim-tree-aa)"
-           other)
-
-let adversary_of_string s =
-  let open Spec in
-  match s with
-  | "none" -> Ok Passive
-  | "silent" -> Ok Random_silent
-  | "crash" -> Ok Random_crash
-  | "spoiler" -> Ok Tree_spoiler
-  | "real-spoiler" -> Ok Real_spoiler
-  | "wedge" -> Ok Gradecast_wedge
-  | "any-tree" -> Ok Any_tree_adversary
-  | "any-real" -> Ok Any_real_adversary
-  | other when String.length other > 7 && String.sub other 0 7 = "genome:" ->
-      Result.map
+  C.cases "adversary family"
+    [
+      C.const "none" Passive;
+      C.const "silent" Random_silent;
+      C.const "crash" Random_crash;
+      C.const "spoiler" Tree_spoiler;
+      C.const "real-spoiler" Real_spoiler;
+      C.const "wedge" Gradecast_wedge;
+      C.const "any-tree" Any_tree_adversary;
+      C.const "any-real" Any_real_adversary;
+      C.case "genome" Aat_adversary.Genome.codec
         (fun g -> Synth_genome g)
-        (Aat_adversary.Genome.of_string
-           (String.sub other 7 (String.length other - 7)))
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown adversary family %S (have: none, silent, crash, spoiler, \
-            real-spoiler, wedge, any-tree, any-real, genome:<encoded>)"
-           other)
+        (function Synth_genome g -> Some g | _ -> None);
+    ]
 
-let adversary_to_string = function
-  | Spec.Passive -> "none"
-  | Spec.Random_silent -> "silent"
-  | Spec.Random_crash -> "crash"
-  | Spec.Tree_spoiler -> "spoiler"
-  | Spec.Real_spoiler -> "real-spoiler"
-  | Spec.Gradecast_wedge -> "wedge"
-  | Spec.Any_tree_adversary -> "any-tree"
-  | Spec.Any_real_adversary -> "any-real"
-  | Spec.Synth_genome g -> "genome:" ^ Aat_adversary.Genome.to_string g
-
-let inputs_of_string s =
+let inputs =
   let open Spec in
-  let float v =
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad number %S in input distribution" v)
-  in
-  let ( let* ) = Result.bind in
-  match String.split_on_char ':' s with
-  | [ "vertices" ] -> Ok Random_vertices
-  | [ "linspace"; d ] -> Result.map (fun d -> Linspace_reals d) (float d)
-  | [ "loguniform"; lo; hi ] ->
-      let* log10_min = float lo in
-      let* log10_max = float hi in
-      Ok (Log_uniform_reals { log10_min; log10_max })
-  | _ ->
-      Error
-        (Printf.sprintf
-           "unknown input distribution %S (try vertices, linspace:D, \
-            loguniform:LOG10MIN:LOG10MAX)"
-           s)
+  C.cases "input distribution"
+    [
+      C.const "vertices" Random_vertices;
+      C.case "linspace" C.float
+        (fun d -> Linspace_reals d)
+        (function Linspace_reals d -> Some d | _ -> None);
+      C.case "loguniform" (C.pair ':' C.float C.float)
+        (fun (log10_min, log10_max) -> Log_uniform_reals { log10_min; log10_max })
+        (function
+          | Log_uniform_reals { log10_min; log10_max } ->
+              Some (log10_min, log10_max)
+          | _ -> None);
+    ]
+
+let size_of_string = C.parse size
+let size_to_string = C.print size
+let tree_family_of_string = C.parse tree_family
+let tree_family_to_string = C.print tree_family
+(* [Spec.protocol_label] is the one table of protocol names: parsing
+   inverts it *)
+let protocol_of_string ~eps =
+  let open Spec in
+  [
+    Tree_aa;
+    Nr_baseline;
+    Path_aa;
+    Known_path_aa;
+    Real_aa { eps };
+    Iterated_midpoint { eps };
+    Async_tree_aa;
+    Round_sim_tree_aa;
+  ]
+  |> List.map (fun p -> C.const (protocol_label p) p)
+  |> C.cases "protocol" |> C.parse
+let adversary_of_string = C.parse adversary
+let adversary_to_string = C.print adversary
+let inputs_of_string = C.parse inputs
+let inputs_to_string = C.print inputs
 
 (* ------------------------------------------------------------------ *)
 (* structural JSON codec *)
@@ -387,3 +350,9 @@ let of_json j =
       repetitions;
       base_seed;
     }
+
+let read_file path =
+  Result.bind (Json.read_file path) (fun json ->
+      Result.map_error
+        (Printf.sprintf "%s: bad campaign spec: %s" path)
+        (of_json json))

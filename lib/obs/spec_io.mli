@@ -16,7 +16,9 @@ module Spec = Aat_campaign.Campaign.Spec
 (** {1 CLI string grammar}
 
     The grammars of the [treeaa campaign] flags — [SIZE] is [N] or
-    [LO-HI]; see the CLI's [--help] for the full vocabularies. *)
+    [LO-HI]; see the CLI's [--help] for the full vocabularies. Each
+    [*_to_string] prints what its [*_of_string] reads back; the lexical
+    rules are {!Aat_util.Codec}'s. *)
 
 val size_of_string : string -> (Spec.size, string) result
 val size_to_string : Spec.size -> string
@@ -25,12 +27,14 @@ val tree_family_to_string : Spec.tree_family -> string
 
 val protocol_of_string :
   eps:float -> string -> (Spec.protocol, string) result
-(** [eps] seeds the agreement distance of the real-valued protocols
-    ([realaa], [iterated-midpoint]); ignored by the rest. *)
+(** The inverse of {!Spec.protocol_label}. [eps] seeds the agreement
+    distance of the real-valued protocols ([realaa],
+    [iterated-midpoint]); ignored by the rest. *)
 
 val adversary_of_string : string -> (Spec.adversary_family, string) result
 val adversary_to_string : Spec.adversary_family -> string
 val inputs_of_string : string -> (Spec.input_dist, string) result
+val inputs_to_string : Spec.input_dist -> string
 
 (** {1 JSON codec} *)
 
@@ -39,3 +43,8 @@ val to_json : Spec.t -> Aat_telemetry.Jsonx.t
 val of_json : Aat_telemetry.Jsonx.t -> (Spec.t, string) result
 (** Inverse of {!to_json}. [No_faults] and [watchdogs = false] are
     encoded by omission, so hand-written minimal spec objects parse. *)
+
+val read_file : string -> (Spec.t, string) result
+(** A spec file ([treeaa campaign --spec], [soak --spec]): one {!to_json}
+    object. An unreadable file, non-JSON or a bad spec is an [Error]
+    naming the path. *)

@@ -29,94 +29,46 @@ let is_none t = { t with seed = 0 } = none
 (* ------------------------------------------------------------------ *)
 (* the plan grammar *)
 
-let clause_sep = function ';' | '+' -> true | _ -> false
+module C = Aat_util.Codec
 
-let split_clauses s =
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  String.iter
-    (fun c ->
-      if clause_sep c then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-      else Buffer.add_char buf c)
-    s;
-  out := Buffer.contents buf :: !out;
-  List.rev_map String.trim !out |> List.rev
-  |> List.filter (fun c -> c <> "")
+let in_range what lo hi =
+  C.conv
+    (fun x ->
+      if x >= lo && x <= hi then Ok x
+      else Error (Printf.sprintf "%s %g not in [%g, %g]" what x lo hi))
+    Fun.id C.float
 
-let prob_of_string name s =
-  match float_of_string_opt s with
-  | Some p when p >= 0. && p <= 1. -> Ok p
-  | _ -> Error (Printf.sprintf "%s: probability %S not in [0,1]" name s)
+let prob = in_range "probability" 0. 1.
+let active p = if p > 0. then Some p else None
 
-let parse s =
-  let s = String.trim s in
-  if s = "" || s = "none" then Ok none
-  else
-    let ( let* ) = Result.bind in
-    List.fold_left
-      (fun acc clause ->
-        let* t = acc in
-        match String.split_on_char ':' clause with
-        | [ "corrupt-frame"; p ] ->
-            let* p = prob_of_string "corrupt-frame" p in
-            Ok { t with corrupt_frame = p }
-        | [ "torn-write"; p ] ->
-            let* p = prob_of_string "torn-write" p in
-            Ok { t with torn_write = p }
-        | [ "drop-frame"; p ] ->
-            let* p = prob_of_string "drop-frame" p in
-            Ok { t with drop_frame = p }
-        | [ "dup-frame"; p ] ->
-            let* p = prob_of_string "dup-frame" p in
-            Ok { t with dup_frame = p }
-        | [ "stall"; p; secs ] -> (
-            let* p = prob_of_string "stall" p in
-            match float_of_string_opt secs with
-            | Some d when d >= 0. ->
-                Ok { t with stall_prob = p; stall_seconds = d }
-            | _ -> Error (Printf.sprintf "stall: bad duration %S" secs))
-        | [ "seed"; n ] -> (
-            match int_of_string_opt n with
-            | Some seed -> Ok { t with seed }
-            | None -> Error (Printf.sprintf "seed: bad integer %S" n))
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "unknown wire-chaos clause %S (want corrupt-frame:P, \
-                  torn-write:P, drop-frame:P, dup-frame:P, stall:P:SECONDS \
-                  or seed:N)"
-                 clause))
-      (Ok none) (split_clauses s)
+(* [to_string] prints the active faults in this order, then a non-zero
+   seed *)
+let codec =
+  C.fields "wire-chaos clause" "+;" none
+    [
+      C.field "corrupt-frame" prob
+        (fun t -> active t.corrupt_frame)
+        (fun t p -> { t with corrupt_frame = p });
+      C.field "torn-write" prob
+        (fun t -> active t.torn_write)
+        (fun t p -> { t with torn_write = p });
+      C.field "drop-frame" prob
+        (fun t -> active t.drop_frame)
+        (fun t p -> { t with drop_frame = p });
+      C.field "dup-frame" prob
+        (fun t -> active t.dup_frame)
+        (fun t p -> { t with dup_frame = p });
+      C.field "stall"
+        (C.pair ':' prob (in_range "duration" 0. infinity))
+        (fun t -> Option.map (fun p -> (p, t.stall_seconds)) (active t.stall_prob))
+        (fun t (p, d) -> { t with stall_prob = p; stall_seconds = d });
+      C.field "seed" C.int
+        (fun t -> if t.seed <> 0 then Some t.seed else None)
+        (fun t seed -> { t with seed });
+    ]
 
-let to_string t =
-  if is_none t && t.seed = 0 then "none"
-  else
-    let clauses =
-      List.filter_map Fun.id
-        [
-          (if t.corrupt_frame > 0. then
-             Some (Printf.sprintf "corrupt-frame:%g" t.corrupt_frame)
-           else None);
-          (if t.torn_write > 0. then
-             Some (Printf.sprintf "torn-write:%g" t.torn_write)
-           else None);
-          (if t.drop_frame > 0. then
-             Some (Printf.sprintf "drop-frame:%g" t.drop_frame)
-           else None);
-          (if t.dup_frame > 0. then
-             Some (Printf.sprintf "dup-frame:%g" t.dup_frame)
-           else None);
-          (if t.stall_prob > 0. then
-             Some (Printf.sprintf "stall:%g:%g" t.stall_prob t.stall_seconds)
-           else None);
-          (if t.seed <> 0 then Some (Printf.sprintf "seed:%d" t.seed)
-           else None);
-        ]
-    in
-    if clauses = [] then "none" else String.concat "+" clauses
+let parse = C.parse codec
+let to_string = C.print codec
 
 (* ------------------------------------------------------------------ *)
 (* seeded per-endpoint streams *)

@@ -11,7 +11,8 @@
     [docs/ROBUSTNESS.md]).
 
     {b Plan grammar} (clauses joined with [+] or [;]; ["none"] or the
-    empty string is the empty plan):
+    empty string is the empty plan; of two clauses of one kind the first
+    wins; lexical rules as in {!Aat_util.Codec}):
     {v
     corrupt-frame:P      flip one byte of the frame with probability P
     torn-write:P         write only a strict prefix of the frame

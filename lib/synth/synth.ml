@@ -142,16 +142,17 @@ let spec_for target genome =
 
 type driver = Random_search | Hill_climb | Mu_plus_lambda
 
-let driver_of_string = function
-  | "random" -> Ok Random_search
-  | "hill" -> Ok Hill_climb
-  | "evolve" -> Ok Mu_plus_lambda
-  | s -> Error (Printf.sprintf "unknown driver %S (have: random, hill, evolve)" s)
+let drivers =
+  Aat_util.Codec.(
+    cases "driver"
+      [
+        const "random" Random_search;
+        const "hill" Hill_climb;
+        const "evolve" Mu_plus_lambda;
+      ])
 
-let driver_label = function
-  | Random_search -> "random"
-  | Hill_climb -> "hill"
-  | Mu_plus_lambda -> "evolve"
+let driver_of_string = Aat_util.Codec.parse drivers
+let driver_label = Aat_util.Codec.print drivers
 
 type config = {
   driver : driver;

@@ -209,6 +209,15 @@ let of_string s =
     else Ok v
   with Parse_error msg -> Error msg
 
+(* one JSON document per file; errors name the path *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error (Printf.sprintf "cannot read %s: %s" path m)
+  | s ->
+      Result.map_error
+        (Printf.sprintf "%s: not JSON: %s" path)
+        (of_string (String.trim s))
+
 (* ------------------------------------------------------------------ *)
 (* accessors *)
 

@@ -11,9 +11,9 @@ let of_int_edges n edges =
   else
     LT.of_labeled_edges (List.map (fun (u, v) -> (labels.(u), labels.(v))) edges)
 
-let path n = of_int_edges n (List.init (n - 1) (fun i -> (i, i + 1)))
+let path n = of_int_edges n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
 
-let star n = of_int_edges n (List.init (n - 1) (fun i -> (0, i + 1)))
+let star n = of_int_edges n (List.init (max 0 (n - 1)) (fun i -> (0, i + 1)))
 
 let balanced ~arity ~depth =
   if arity < 1 || depth < 0 then invalid_arg "Generate.balanced";
@@ -121,3 +121,40 @@ let random_of_diameter rng ~n ~diameter =
       eligible := Array.append !eligible [| v |]
   done;
   of_int_edges n !edges
+
+(* The --gen grammar, one row per family: name, arity, generator call. *)
+type spec = string * int list
+
+let families =
+  [
+    ("path", 1, fun a -> path a.(0));
+    ("star", 1, fun a -> star a.(0));
+    ("caterpillar", 2, fun a -> caterpillar ~spine:a.(0) ~legs:a.(1));
+    ("spider", 2, fun a -> spider ~legs:a.(0) ~leg_length:a.(1));
+    ("balanced", 2, fun a -> balanced ~arity:a.(0) ~depth:a.(1));
+    ("broom", 2, fun a -> broom ~handle:a.(0) ~bristles:a.(1));
+    ("random", 2, fun a -> random (Aat_util.Rng.create a.(1)) a.(0));
+    ( "diameter",
+      3,
+      fun a ->
+        random_of_diameter (Aat_util.Rng.create a.(2)) ~n:a.(0) ~diameter:a.(1)
+    );
+  ]
+
+let spec =
+  let module C = Aat_util.Codec in
+  let case (name, arity, _) =
+    C.case name
+      (C.conv
+         (fun a ->
+           if List.length a = arity then Ok a
+           else Error (Printf.sprintf "expected %d integers" arity))
+         Fun.id (C.list ':' C.int))
+      (fun a -> (name, a))
+      (fun (n, a) -> if n = name then Some a else None)
+  in
+  C.cases "tree spec" (List.map case families)
+
+let of_spec (name, args) =
+  let _, _, generate = List.find (fun (n, _, _) -> n = name) families in
+  generate (Array.of_list args)

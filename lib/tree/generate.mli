@@ -40,3 +40,16 @@ val random_of_diameter :
 
 val labels_of_size : int -> string array
 (** The canonical zero-padded labels used by all generators. *)
+
+(** {1 Family specs} *)
+
+type spec
+(** A generator call: [path:N], [star:N], [caterpillar:SPINE:LEGS],
+    [spider:LEGS:LEN], [balanced:ARITY:DEPTH], [broom:HANDLE:BRISTLES],
+    [random:N:SEED] or [diameter:N:D:SEED] ({!spec}, the [treeaa --gen]
+    grammar). *)
+
+val spec : spec Aat_util.Codec.t
+
+val of_spec : spec -> Labeled_tree.t
+(** Raises [Invalid_argument] for sizes outside the generator's range. *)

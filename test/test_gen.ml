@@ -112,6 +112,44 @@ let test_random_of_diameter () =
       check_int "diameter" d (Metrics.diameter t))
     [ (10, 9); (10, 2); (30, 5); (100, 40); (5, 4); (2, 1) ]
 
+(* --- the --gen spec grammar --- *)
+
+module Codec = Aat_util.Codec
+
+let gen s = Result.map Generate.of_spec (Codec.parse Generate.spec s)
+
+let test_gen_spec_grammar () =
+  let n_of s =
+    match gen s with
+    | Ok t -> LT.n_vertices t
+    | Error e -> Alcotest.failf "%S: %s" s e
+  in
+  List.iter
+    (fun (s, n) -> check_int s n (n_of s))
+    [
+      ("path:5", 5); ("star:4", 4); ("caterpillar:3:2", 9); ("spider:3:2", 7);
+      ("balanced:2:2", 7); ("broom:3:2", 5); ("random:6:1", 6);
+      ("diameter:8:4:1", 8); ("path: 5 ", 5);
+    ];
+  check "random:N:SEED is Generate.random" true
+    (Result.map Tree_io.to_edge_list (gen "random:9:3")
+    = Ok (Tree_io.to_edge_list (Generate.random (Rng.create 3) 9)));
+  check "canonical form prints back" true
+    (Result.map (Codec.print Generate.spec)
+       (Codec.parse Generate.spec "diameter:8:4:1")
+    = Ok "diameter:8:4:1");
+  List.iter
+    (fun s ->
+      check ("reject " ^ s) true (Result.is_error (Codec.parse Generate.spec s)))
+    [ ""; "path"; "path:"; "path:abc"; "path:1:2"; "bogus:3"; "random:5";
+      "diameter:5:9:x"; "caterpillar:3" ];
+  (* well-formed, but outside the family's range: the generator refuses *)
+  List.iter
+    (fun s ->
+      check ("out of range " ^ s) true
+        (match gen s with exception Invalid_argument _ -> true | _ -> false))
+    [ "path:-3"; "path:0"; "diameter:5:9:1" ]
+
 (* --- prüfer --- *)
 
 let test_prufer_decode_known () =
@@ -228,6 +266,7 @@ let () =
             test_random_is_tree_and_deterministic;
           Alcotest.test_case "random_of_diameter" `Quick
             test_random_of_diameter;
+          Alcotest.test_case "--gen spec grammar" `Quick test_gen_spec_grammar;
         ] );
       ( "prufer",
         [

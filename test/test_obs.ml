@@ -155,6 +155,205 @@ let prop_spec_json_roundtrip =
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)
 
 (* ------------------------------------------------------------------ *)
+(* text grammars: every Codec grammar reads back what it prints *)
+
+let round3 x = Float.round (x *. 1000.) /. 1000.
+
+(* [print v] parses back to [v] and is a fixed point of print-then-parse *)
+let roundtrips parse print v =
+  let s = print v in
+  match parse s with
+  | Ok v' when v' = v && print v' = s -> true
+  | Ok _ -> QCheck2.Test.fail_reportf "%S reads back differently" s
+  | Error e -> QCheck2.Test.fail_reportf "%S does not read back: %s" s e
+
+let prop_grammars_roundtrip =
+  QCheck2.Test.make ~name:"every grammar: parse (print v) = Ok v" ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let open Campaign.Spec in
+      let rng = Rng.create seed in
+      let short () = round3 (Rng.float rng 1.0) in
+      let size () =
+        if Rng.bool rng then Exactly (Rng.int rng 50)
+        else Between (Rng.int rng 50, Rng.int rng 50)
+      in
+      let plan =
+        Fault_plan.random rng ~n:6 ~rounds_hint:10 ~sync_only:(Rng.bool rng) ()
+        |> List.map (function
+             | Fault_plan.Omission o -> Fault_plan.Omission { o with prob = round3 o.prob }
+             | Fault_plan.Duplicate d -> Fault_plan.Duplicate { d with prob = round3 d.prob }
+             | Fault_plan.Delay d -> Fault_plan.Delay { d with prob = round3 d.prob }
+             | f -> f)
+      in
+      let stall_prob = if Rng.bool rng then short () else 0. in
+      let chaos =
+        {
+          Service_chaos.corrupt_frame = short ();
+          torn_write = (if Rng.bool rng then short () else 0.);
+          drop_frame = short ();
+          dup_frame = (if Rng.bool rng then short () else 0.);
+          stall_prob;
+          stall_seconds = (if stall_prob > 0. then round3 (Rng.float rng 5.) else 0.);
+          seed = Rng.int rng 1000 - 500;
+        }
+      in
+      let genome = Genome.random rng ~t:(1 + Rng.int rng 4) ~max_round:20 in
+      let tree =
+        Rng.pick rng
+          [|
+            Any_tree; Path_tree (size ()); Star_tree (size ());
+            Caterpillar_tree { spine = size (); legs = size () };
+            Spider_tree { legs = size (); leg_length = size () };
+            Balanced_tree { arity = size (); depth = size () };
+            Random_tree (size ());
+          |]
+      in
+      let eps = short () in
+      let protocol =
+        Rng.pick rng
+          [|
+            Tree_aa; Nr_baseline; Path_aa; Known_path_aa; Real_aa { eps };
+            Iterated_midpoint { eps }; Async_tree_aa; Round_sim_tree_aa;
+          |]
+      in
+      let adversary =
+        Rng.pick rng
+          [|
+            Passive; Random_silent; Random_crash; Tree_spoiler; Real_spoiler;
+            Gradecast_wedge; Any_tree_adversary; Any_real_adversary;
+            Synth_genome genome;
+          |]
+      in
+      let inputs =
+        Rng.pick rng
+          [|
+            Random_vertices; Linspace_reals (float_of_int (Rng.int rng 1000));
+            Log_uniform_reals { log10_min = short (); log10_max = short () };
+          |]
+      in
+      let n () = string_of_int (Rng.int rng 30) in
+      let gen =
+        Rng.pick rng
+          [|
+            "path:" ^ n (); "broom:" ^ n () ^ ":" ^ n ();
+            "diameter:" ^ n () ^ ":" ^ n () ^ ":" ^ n ();
+          |]
+      in
+      roundtrips Fault_plan_io.parse Fault_plan_io.to_string plan
+      && roundtrips Service_chaos.parse Service_chaos.to_string chaos
+      && roundtrips Genome.of_string Genome.to_string genome
+      && roundtrips Spec_io.size_of_string Spec_io.size_to_string (size ())
+      && roundtrips Spec_io.tree_family_of_string Spec_io.tree_family_to_string tree
+      && roundtrips (Spec_io.protocol_of_string ~eps) Campaign.Spec.protocol_label protocol
+      && roundtrips Spec_io.adversary_of_string Spec_io.adversary_to_string adversary
+      && roundtrips Spec_io.inputs_of_string Spec_io.inputs_to_string inputs
+      && roundtrips Synth.driver_of_string Synth.driver_label
+           (Rng.pick rng Synth.[| Random_search; Hill_climb; Mu_plus_lambda |])
+      && roundtrips (Codec.parse Generate.spec) (Codec.print Generate.spec)
+           (Result.get_ok (Codec.parse Generate.spec gen)))
+
+(* noise over the grammars' shared alphabet: names, separators, numbers
+   (signed, hex, padded, huge) and whitespace *)
+let grammar_noise =
+  QCheck2.Gen.(
+    list_size (int_range 0 10)
+      (oneofl
+         [
+           "crash"; "crash-recover"; "omission"; "partition"; "delay"; "party";
+           "pair"; "corrupt-frame"; "stall"; "seed"; "silent"; "spoiler!";
+           "wedge"; "fifo"; "genome:"; "path"; "caterpillar"; "diameter";
+           "linspace"; "realaa"; "evolve"; "none"; "any"; "t"; "b"; ":"; "@";
+           "-"; "+"; ";"; "|"; ","; ">"; " "; "\t"; "0"; "1"; "5"; "-1"; " 5 ";
+           "0x1F"; "0.5"; "1e-3"; "1e30"; "nan"; "99999999999999999999";
+         ])
+    >|= String.concat "")
+
+let prop_grammars_never_raise =
+  QCheck2.Test.make ~name:"no grammar raises on noise" ~count:3000 grammar_noise
+    (fun s ->
+      (* a parsed value also prints and re-reads without raising *)
+      let total parse print =
+        match parse s with Ok v -> ignore (parse (print v)) | Error _ -> ()
+      in
+      total Fault_plan_io.parse Fault_plan_io.to_string;
+      total Service_chaos.parse Service_chaos.to_string;
+      total Genome.of_string Genome.to_string;
+      total Spec_io.size_of_string Spec_io.size_to_string;
+      total Spec_io.tree_family_of_string Spec_io.tree_family_to_string;
+      total (Spec_io.protocol_of_string ~eps:1.) Campaign.Spec.protocol_label;
+      total Spec_io.adversary_of_string Spec_io.adversary_to_string;
+      total Spec_io.inputs_of_string Spec_io.inputs_to_string;
+      total Synth.driver_of_string Synth.driver_label;
+      total (Codec.parse Generate.spec) (Codec.print Generate.spec);
+      total (Codec.parse Codec.int) (Codec.print Codec.int);
+      true)
+
+let test_flag_grammars () =
+  let open Campaign.Spec in
+  check "size N" true (Spec_io.size_of_string "5" = Ok (Exactly 5));
+  check "size LO-HI" true (Spec_io.size_of_string "4-8" = Ok (Between (4, 8)));
+  check "padded size" true (Spec_io.size_of_string " 5" = Ok (Exactly 5));
+  check "tree family" true
+    (Spec_io.tree_family_of_string "caterpillar:3:1-2"
+    = Ok (Caterpillar_tree { spine = Exactly 3; legs = Between (1, 2) }));
+  check "protocol takes eps" true
+    (Spec_io.protocol_of_string ~eps:0.5 "realaa" = Ok (Real_aa { eps = 0.5 }));
+  check "genome adversary" true
+    (Result.map Spec_io.adversary_to_string
+       (Spec_io.adversary_of_string "genome:silent:2t+none+fifo")
+    = Ok "genome:silent:2t+none+fifo");
+  check "inputs" true
+    (Spec_io.inputs_of_string "loguniform:0:2"
+    = Ok (Log_uniform_reals { log10_min = 0.; log10_max = 2. }));
+  check "inputs print" true
+    (Spec_io.inputs_to_string (Linspace_reals 100.) = "linspace:100");
+  List.iter
+    (fun (what, rejected) -> check ("reject " ^ what) true rejected)
+    [
+      ("size -3", Result.is_error (Spec_io.size_of_string "-3"));
+      ("size 4-x", Result.is_error (Spec_io.size_of_string "4-x"));
+      ("path:1:2", Result.is_error (Spec_io.tree_family_of_string "path:1:2"));
+      ("any:3", Result.is_error (Spec_io.tree_family_of_string "any:3"));
+      ("protocol", Result.is_error (Spec_io.protocol_of_string ~eps:1. "aa"));
+      ("genome:", Result.is_error (Spec_io.adversary_of_string "genome:"));
+      ("linspace:", Result.is_error (Spec_io.inputs_of_string "linspace:"));
+      ("vertices:1", Result.is_error (Spec_io.inputs_of_string "vertices:1"));
+    ]
+
+let test_spec_read_file () =
+  let mentions m path =
+    let n = String.length path in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = path || at (i + 1))
+    in
+    at 0
+  in
+  let dir = Filename.temp_dir "spec-io" "" in
+  let file name contents =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let rejected what path =
+    match Spec_io.read_file path with
+    | Ok _ -> Alcotest.failf "%s was read" what
+    | Error m -> check (what ^ " error names the path") true (mentions m path)
+  in
+  rejected "directory" dir;
+  rejected "missing file" (Filename.concat dir "missing.json");
+  let junk = file "junk.json" "not json" in
+  rejected "non-JSON" junk;
+  let bad = file "bad.json" {|{"name":"x"}|} in
+  rejected "bad spec" bad;
+  let good =
+    file "good.json" (Telemetry.Json.to_string (Spec_io.to_json fixed_spec))
+  in
+  check "good spec" true (Spec_io.read_file good = Ok fixed_spec);
+  List.iter Sys.remove [ junk; bad; good ];
+  Sys.rmdir dir
+
+(* ------------------------------------------------------------------ *)
 (* divergence detection localizes a perturbation; profiles never pin *)
 
 let test_divergence_localization () =
@@ -497,6 +696,13 @@ let () =
         ] );
       ( "spec codec",
         [ QCheck_alcotest.to_alcotest prop_spec_json_roundtrip ] );
+      ( "grammars",
+        [
+          QCheck_alcotest.to_alcotest prop_grammars_roundtrip;
+          QCheck_alcotest.to_alcotest prop_grammars_never_raise;
+          Alcotest.test_case "campaign flag grammars" `Quick test_flag_grammars;
+          Alcotest.test_case "spec file errors" `Quick test_spec_read_file;
+        ] );
       ( "repro",
         [
           Alcotest.test_case "failing cells replay" `Quick

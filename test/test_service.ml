@@ -211,7 +211,20 @@ let test_chaos_grammar () =
   check "bad prob rejected" true
     (Result.is_error (Service_chaos.parse "corrupt-frame:1.5"));
   check "unknown clause rejected" true
-    (Result.is_error (Service_chaos.parse "melt-wire:0.5"))
+    (Result.is_error (Service_chaos.parse "melt-wire:0.5"));
+  (* floats print with 12 significant digits, so these round-trip too;
+     whitespace around an integer is ignored *)
+  List.iter
+    (fun s ->
+      match Service_chaos.parse s with
+      | Error e -> Alcotest.fail (s ^ ": " ^ e)
+      | Ok p ->
+          check ("roundtrip " ^ s) true
+            (Service_chaos.parse (Service_chaos.to_string p) = Ok p))
+    [ "corrupt-frame:0.1234567"; "seed: 5" ];
+  check "padded seed" true
+    (Result.map (fun p -> p.Service_chaos.seed) (Service_chaos.parse "seed: 5")
+    = Ok 5)
 
 let test_chaos_deterministic_schedule () =
   (* The same endpoint sees the same fault schedule on every run; a

@@ -80,6 +80,13 @@ let test_codec_examples () =
       check "example invalid at max_round=4 (crash@5)" false
         (Genome.valid ~t:2 ~max_round:4 g)
 
+let test_codec_padded_integers () =
+  (* whitespace around an integer field is ignored, as in every grammar *)
+  check "padded crash round" true
+    (Result.is_ok (Genome.of_string "crash:1b@ 5+none+fifo")
+    && Genome.of_string "crash:1b@ 5+none+fifo"
+       = Genome.of_string "crash:1b@5+none+fifo")
+
 (* ------------------------------------------------------------------ *)
 (* search operators *)
 
@@ -331,6 +338,7 @@ let () =
         [
           Alcotest.test_case "rejects malformed" `Quick test_codec_rejects;
           Alcotest.test_case "documented examples" `Quick test_codec_examples;
+          Alcotest.test_case "padded integers" `Quick test_codec_padded_integers;
           Alcotest.test_case "select_victims" `Quick test_select_victims;
         ] );
       ( "strategies crash pin",
