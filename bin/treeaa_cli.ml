@@ -170,18 +170,23 @@ let run_cmd =
           ~doc:"Install runtime invariant watchdogs (see docs/FAULTS.md).")
   in
   let action tree n t adv_name inputs_spec seed trace_out fault_plan_str watch =
-    let inputs =
+    let ( let* ) = Result.bind in
+    let* inputs =
       match inputs_spec with
       | None ->
           let rng = Rng.create (seed + 1) in
-          Array.init n (fun _ -> Rng.int rng (Tree.n_vertices tree))
-      | Some s ->
+          Ok (Array.init n (fun _ -> Rng.int rng (Tree.n_vertices tree)))
+      | Some s -> (
           let labels = String.split_on_char ',' s |> List.map String.trim in
           if List.length labels <> n then
-            failwith (Printf.sprintf "expected %d inputs, got %d" n (List.length labels));
-          Array.of_list (List.map (Tree.vertex_of_label tree) labels)
+            Error
+              (Printf.sprintf "bad --inputs: expected %d labels (one per party), got %d"
+                 n (List.length labels))
+          else
+            match List.find_opt (fun l -> not (Tree.mem_label tree l)) labels with
+            | Some l -> Error (Printf.sprintf "bad --inputs: no vertex is labelled %S" l)
+            | None -> Ok (Array.of_list (List.map (Tree.vertex_of_label tree) labels)))
     in
-    let ( let* ) = Result.bind in
     let* fault_plan =
       match Fault_plan_io.parse fault_plan_str with
       | Error m -> Error ("bad --fault-plan: " ^ m)

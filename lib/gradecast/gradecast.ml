@@ -48,57 +48,60 @@ module Multi = struct
 
   let broadcast st m = List.init st.n (fun p -> (p, m))
 
-  (* The most frequent [Some] entry of column [leader] in [table], with its
-     multiplicity. Ties break toward the smaller value (total order via
-     polymorphic compare) so every honest party resolves them identically.
-     Distinct values are counted in flat parallel buffers probed with
-     [compare]-equality — the same grouping the polymorphic [Hashtbl] this
-     replaces used for its keys. A gradecast column holds very few
-     distinct values (honest senders echo identically), so the linear
-     probe beats hashing; the winner criterion is order-independent, so
-     the change cannot move any result. *)
-  let plurality table leader =
-    let vals : 'v option array ref = ref (Array.make 8 None) in
-    let counts = ref (Array.make 8 0) in
+  (* The plurality of column [leader] of [table]: the most frequent [Some]
+     value, ties broken toward the smaller value under polymorphic
+     [compare] (a total order) so every honest party resolves them
+     identically. The first row carrying a value is its representative.
+
+     Equality ([same]) checks physical identity before anything else.
+     Honest echo and vote rows carry the leader's round-1 value by
+     reference, so an honest column is one physical value and
+     [caml_compare] only runs on boxes a Byzantine party forged and on
+     tie-breaks. [compare x x = 0] for every value (nan included), so the
+     shortcut never splits or merges a group.
+
+     Distinct values are tracked as row indices: [first.(i)] is the row
+     that first carried value [i], [count.(i)] its multiplicity. Both are
+     [int] scratch arrays of length n, allocated once per round-3 call by
+     the caller, and the winner comes back as its index [i] (or [-1] for
+     an all-[None] column), so the n columns of a round cost no buffer,
+     closure, option or tuple each. Reading the winner back out of its row
+     keeps its physical identity, which [Telemetry.payload_bytes] (a
+     reachable-words count) observes: a ['v array] scratch would be a flat
+     float array for floats and re-box every value read from it. *)
+  let entry (table : 'v option array array) row leader =
+    match table.(row).(leader) with Some v -> v | None -> assert false
+
+  let[@inline] same u v = u == v || compare u v = 0
+
+  let plurality ~first ~count (table : 'v option array array) leader =
     let d = ref 0 in
-    Array.iter
-      (fun (row : 'v option array) ->
-        match row.(leader) with
-        | None -> ()
-        | Some v ->
-            let rec probe i =
-              if i = !d then begin
-                (if !d = Array.length !vals then begin
-                   let nv = Array.make (2 * !d) None in
-                   Array.blit !vals 0 nv 0 !d;
-                   vals := nv;
-                   let nc = Array.make (2 * !d) 0 in
-                   Array.blit !counts 0 nc 0 !d;
-                   counts := nc
-                 end);
-                !vals.(!d) <- Some v;
-                !counts.(!d) <- 1;
-                incr d
-              end
-              else
-                match !vals.(i) with
-                | Some u when compare u v = 0 ->
-                    !counts.(i) <- !counts.(i) + 1
-                | _ -> probe (i + 1)
-            in
-            probe 0)
-      table;
-    let best = ref None in
-    for i = 0 to !d - 1 do
-      match !vals.(i) with
-      | Some v -> (
-          let c = !counts.(i) in
-          match !best with
-          | None -> best := Some (v, c)
-          | Some (bv, bc) ->
-              if c > bc || (c = bc && compare v bv < 0) then best := Some (v, c)
-          )
+    for row = 0 to Array.length table - 1 do
+      match table.(row).(leader) with
       | None -> ()
+      | Some v ->
+          let i = ref 0 in
+          while !i < !d && not (same (entry table first.(!i) leader) v) do
+            incr i
+          done;
+          if !i = !d then begin
+            first.(!d) <- row;
+            count.(!d) <- 0;
+            incr d
+          end;
+          count.(!i) <- count.(!i) + 1
+    done;
+    let best = ref (-1) in
+    for i = 0 to !d - 1 do
+      if
+        !best < 0
+        || count.(i) > count.(!best)
+        || count.(i) = count.(!best)
+           && compare
+                (entry table first.(i) leader)
+                (entry table first.(!best) leader)
+              < 0
+      then best := i
     done;
     !best
 
@@ -109,11 +112,16 @@ module Multi = struct
     | 3 ->
         (* Vote for each leader's value that at least n - t parties echoed;
            otherwise abstain on that instance. *)
+        let first = Array.make st.n 0 and count = Array.make st.n 0 in
         let vote = Array.make st.n None in
         for leader = 0 to st.n - 1 do
-          match plurality st.echoes leader with
-          | Some (v, c) when c >= st.n - st.t -> vote.(leader) <- Some v
-          | Some _ | None -> ()
+          let w = plurality ~first ~count st.echoes leader in
+          (* A fresh [Some] per entry, never the winning row's own box:
+             [payload_bytes] counts a block shared across leaders once, so
+             reusing a box a Byzantine row repeated would shrink the
+             vote's counted size. *)
+          if w >= 0 && count.(w) >= st.n - st.t then
+            vote.(leader) <- Some (entry st.echoes first.(w) leader)
         done;
         broadcast st (Vote vote)
     | _ -> invalid_arg "Gradecast.Multi.send: round out of range"
@@ -152,12 +160,18 @@ module Multi = struct
             | Vote row when Array.length row = st.n -> st.votes.(e.sender) <- row
             | Vote _ | Value _ | Echo _ -> ())
           inbox;
+        let first = Array.make st.n 0 and count = Array.make st.n 0 in
         let finished =
           Array.init st.n (fun leader ->
-              match plurality st.votes leader with
-              | Some (v, c) when c >= st.n - st.t -> { value = Some v; grade = G2 }
-              | Some (v, c) when c >= st.t + 1 -> { value = Some v; grade = G1 }
-              | Some _ | None -> { value = None; grade = G0 })
+              match plurality ~first ~count st.votes leader with
+              | -1 -> { value = None; grade = G0 }
+              | w ->
+                  let c = count.(w) in
+                  if c >= st.n - st.t then
+                    { value = Some (entry st.votes first.(w) leader); grade = G2 }
+                  else if c >= st.t + 1 then
+                    { value = Some (entry st.votes first.(w) leader); grade = G1 }
+                  else { value = None; grade = G0 })
         in
         (if Aat_telemetry.Telemetry.Probe.active () then begin
            let g0 = ref 0 and g1 = ref 0 and g2 = ref 0 in

@@ -18,7 +18,10 @@ let number what read print =
   { parse; print }
 
 let int = number "an integer" int_of_string_opt string_of_int
-let float = number "a number" float_of_string_opt (Printf.sprintf "%.12g")
+(* no [+] in exponents: the wire-chaos grammar joins clauses with it *)
+let float =
+  number "a number" float_of_string_opt (fun x ->
+      String.concat "" (String.split_on_char '+' (Printf.sprintf "%.12g" x)))
 
 let conv check back c =
   {

@@ -4,9 +4,10 @@
     genomes, campaign flags, tree specs — and both {!parse} and {!print}
     follow from that one declaration. All grammars share its lexical
     rules: whitespace around a number is ignored, floats print with
-    [%.12g], {!clauses} trims clauses and skips empty ones and reads
-    ["none"] or the empty string as no clauses, and {!parse} never
-    raises — malformed input is an [Error] saying what was expected. *)
+    [%.12g] less any [+] in the exponent, {!clauses} trims clauses and
+    skips empty ones and reads ["none"] or the empty string as no
+    clauses, and {!parse} never raises — malformed input is an [Error]
+    saying what was expected. *)
 
 type 'a t
 
@@ -22,7 +23,8 @@ val int : int t
 
 val float : float t
 (** An OCaml float literal such as [0.25], [1e-3] or [inf], printed
-    with [%.12g]. *)
+    with [%.12g] and no [+] in the exponent ([1e12], not [1e+12]), so a
+    printed float never contains a clause separator. *)
 
 val conv : ('a -> ('b, string) result) -> ('b -> 'a) -> 'a t -> 'b t
 (** [conv check back c] parses with [c], then [check]s (and converts)

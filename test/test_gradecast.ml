@@ -162,6 +162,278 @@ let prop_random_byzantine =
       validity_holds ~leader_value:10. honest_outcomes
       && all_properties byz_outcomes)
 
+(* Round 3 against a reference plurality.
+
+   [reference_plurality] is the column count [Gradecast.Multi] used before
+   it tracked values as row indices, kept verbatim as the oracle: the
+   first-seen value represents its group, [compare]-equal values group
+   together, and the smaller value under [compare] wins on equal counts.
+   Round 3's votes and grades must match it, each winner must be the very
+   box the oracle picks, and the vote's [payload_bytes] (a reachable-words
+   count, which sees sharing) must not move. *)
+let reference_plurality table leader =
+  let vals : 'v option array ref = ref (Array.make 8 None) in
+  let counts = ref (Array.make 8 0) in
+  let d = ref 0 in
+  Array.iter
+    (fun (row : 'v option array) ->
+      match row.(leader) with
+      | None -> ()
+      | Some v ->
+          let rec probe i =
+            if i = !d then begin
+              (if !d = Array.length !vals then begin
+                 let nv = Array.make (2 * !d) None in
+                 Array.blit !vals 0 nv 0 !d;
+                 vals := nv;
+                 let nc = Array.make (2 * !d) 0 in
+                 Array.blit !counts 0 nc 0 !d;
+                 counts := nc
+               end);
+              !vals.(!d) <- Some v;
+              !counts.(!d) <- 1;
+              incr d
+            end
+            else
+              match !vals.(i) with
+              | Some u when compare u v = 0 ->
+                  !counts.(i) <- !counts.(i) + 1
+              | _ -> probe (i + 1)
+          in
+          probe 0)
+    table;
+  let best = ref None in
+  for i = 0 to !d - 1 do
+    match !vals.(i) with
+    | Some v -> (
+        let c = !counts.(i) in
+        match !best with
+        | None -> best := Some (v, c)
+        | Some (bv, bc) ->
+            if c > bc || (c = bc && compare v bv < 0) then best := Some (v, c)
+        )
+    | None -> ()
+  done;
+  !best
+
+let reference_vote ~n ~t echoes =
+  let vote = Array.make n None in
+  for leader = 0 to n - 1 do
+    match reference_plurality echoes leader with
+    | Some (v, c) when c >= n - t -> vote.(leader) <- Some v
+    | Some _ | None -> ()
+  done;
+  vote
+
+let reference_results ~n ~t votes =
+  Array.init n (fun leader ->
+      match reference_plurality votes leader with
+      | Some (v, c) when c >= n - t -> { Gradecast.value = Some v; grade = Gradecast.G2 }
+      | Some (v, c) when c >= t + 1 -> { Gradecast.value = Some v; grade = Gradecast.G1 }
+      | Some _ | None -> { Gradecast.value = None; grade = Gradecast.G0 })
+
+(* A table as data, built once per payload type. A cell names a palette
+   value and how it is boxed: [Shared] carries the palette's own box (an
+   honest row), [Copy] an equal value in a box of its own, [Reused] one
+   [Some] box the row repeats at every leader holding that value (a
+   forged row can). A row is missing (the sender's slot keeps the shared
+   all-[None] row), the very array an earlier sender sent, or its own. *)
+type cell = Absent | Shared of int | Copy of int | Reused of int
+type row = Missing | Same_as of int | Cells of cell array
+type plan = { n : int; t : int; echoes : row array; votes : row array }
+
+type 'v payload = {
+  values : 'v option array; (* one [Some] box per palette value *)
+  copy : 'v -> 'v; (* an equal value in a fresh box *)
+}
+
+let palette_size = 6
+
+(* 0. and -0. are one group under [compare] with two representatives, and
+   nan equals itself: both reach the identity-first check's fallback. *)
+let float_payload =
+  {
+    values = Array.map Option.some [| 0.; -0.; nan; 1.5; -2.25; 1e300 |];
+    copy = (fun x -> x *. Sys.opaque_identity 1.);
+  }
+
+let int_payload =
+  { values = Array.map Option.some [| 0; 1; -1; 7; max_int; min_int |]; copy = Fun.id }
+
+let pair_payload =
+  {
+    values =
+      Array.map Option.some
+        [| (0., false); (-0., false); (nan, true); (1.5, true); (1.5, false); (-2.25, true) |];
+    copy = (fun (x, b) -> (x *. Sys.opaque_identity 1., b));
+  }
+
+let build (p : 'v payload) rows =
+  let built = Array.make (Array.length rows) None in
+  Array.iteri
+    (fun r row ->
+      built.(r) <-
+        (match row with
+        | Missing -> None
+        | Same_as s -> built.(s)
+        | Cells cells ->
+            let reused = Array.map (fun o -> Some (Option.get o)) p.values in
+            Some
+              (Array.map
+                 (function
+                   | Absent -> None
+                   | Shared i -> Some (Option.get p.values.(i))
+                   | Copy i -> Some (p.copy (Option.get p.values.(i)))
+                   | Reused i -> reused.(i))
+                 cells)))
+    rows;
+  built
+
+let gen_plan =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* t = int_range 0 n in
+  let* k = int_range 1 palette_size in
+  let gen_table =
+    (* per column: all-None, rows alternating between two distinct
+       values (count ties), or random cells over the first [k] palette
+       values *)
+    let* columns = array_size (pure n) (int_bound 5) in
+    let cell r col =
+      match columns.(col) with
+      | 0 -> pure Absent
+      | 1 -> oneofl [ Shared (3 * (r land 1)); Copy (3 * (r land 1)) ]
+      | _ ->
+          frequency
+            [
+              (3, pure Absent);
+              (4, map (fun i -> Shared i) (int_bound (k - 1)));
+              (2, map (fun i -> Copy i) (int_bound (k - 1)));
+              (1, map (fun i -> Reused i) (int_bound (k - 1)));
+            ]
+    in
+    let own r =
+      map (fun cells -> Cells (Array.of_list cells))
+        (flatten_l (List.init n (cell r)))
+    in
+    let row r =
+      if r = 0 then frequency [ (1, pure Missing); (6, own r) ]
+      else
+        frequency
+          [ (1, pure Missing); (2, map (fun s -> Same_as s) (int_bound (r - 1))); (6, own r) ]
+    in
+    map Array.of_list (flatten_l (List.init n row))
+  in
+  let* echoes = gen_table in
+  let+ votes = gen_table in
+  { n; t; echoes; votes }
+
+let print_plan { n; t; echoes; votes } =
+  let cell = function
+    | Absent -> "."
+    | Shared i -> string_of_int i
+    | Copy i -> Printf.sprintf "c%d" i
+    | Reused i -> Printf.sprintf "r%d" i
+  in
+  let row = function
+    | Missing -> "missing"
+    | Same_as s -> Printf.sprintf "same as %d" s
+    | Cells cells -> String.concat " " (Array.to_list (Array.map cell cells))
+  in
+  let table rows = String.concat "\n" (Array.to_list (Array.map row rows)) in
+  Printf.sprintf "n=%d t=%d\nechoes:\n%s\nvotes:\n%s" n t (table echoes) (table votes)
+
+let round3_matches_reference (p : 'v payload) { n; t; echoes; votes } =
+  let echoes = build p echoes and votes = build p votes in
+  let dense rows = Array.map (function Some r -> r | None -> Array.make n None) rows in
+  let inbox wrap rows =
+    List.concat
+      (List.mapi
+         (fun sender -> function
+           | Some row -> [ { Types.sender; payload = wrap row } ]
+           | None -> [])
+         (Array.to_list rows))
+  in
+  let st = Multi.start ~n ~t ~self:0 ~own:(Option.get p.values.(0)) in
+  let st = Multi.receive ~round:2 ~inbox:(inbox (fun r -> Multi.Echo r) echoes) st in
+  let vote =
+    match Multi.send ~round:3 st with
+    | (_, Multi.Vote v) :: _ -> v
+    | _ -> Alcotest.fail "round 3 sent no vote"
+  in
+  let st = Multi.receive ~round:3 ~inbox:(inbox (fun r -> Multi.Vote r) votes) st in
+  let results = Multi.results st in
+  let expected_vote = reference_vote ~n ~t (dense echoes) in
+  let expected = reference_results ~n ~t (dense votes) in
+  let same_box a b =
+    match (a, b) with Some x, Some y -> x == y | None, None -> true | _ -> false
+  in
+  let bytes v = Aat_telemetry.Telemetry.payload_bytes (Multi.Vote v) in
+  compare vote expected_vote = 0
+  && Array.for_all2 same_box vote expected_vote
+  && bytes vote = bytes expected_vote
+  && compare results expected = 0
+  && Array.for_all2
+       (fun (a : _ Gradecast.result) (b : _ Gradecast.result) -> same_box a.value b.value)
+       results expected
+
+let prop_round3_reference =
+  QCheck2.Test.make ~name:"round 3 = reference plurality (float, int, float*bool)"
+    ~count:400 ~print:print_plan gen_plan (fun plan ->
+      round3_matches_reference float_payload plan
+      && round3_matches_reference int_payload plan
+      && round3_matches_reference pair_payload plan)
+
+(* Round 3 costs O(n) words per party, not one buffer, closure and tuple
+   per leader: honest rows, n = 64, every party's send and receive. *)
+let test_round3_allocation () =
+  let n = 64 and t = 21 in
+  let deliver sent =
+    (* sent.(s) is party s's outbox; inbox.(p) what p receives *)
+    Array.init n (fun p ->
+        List.concat
+          (List.mapi
+             (fun sender out -> [ { Types.sender; payload = List.assoc p out } ])
+             (Array.to_list sent)))
+  in
+  let states =
+    Array.init n (fun self -> Multi.start ~n ~t ~self ~own:(float_of_int self))
+  in
+  let exchange ~round states =
+    let inboxes = deliver (Array.map (Multi.send ~round) states) in
+    Array.mapi (fun p st -> Multi.receive ~round ~inbox:inboxes.(p) st) states
+  in
+  let states = exchange ~round:2 (exchange ~round:1 states) in
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. before, r)
+  in
+  let sent = Array.map (fun st -> words (fun () -> Multi.send ~round:3 st)) states in
+  let inboxes = deliver (Array.map snd sent) in
+  let received =
+    Array.mapi
+      (fun p st -> words (fun () -> Multi.receive ~round:3 ~inbox:inboxes.(p) st))
+      states
+  in
+  let per_party a = Array.fold_left (fun acc (w, _) -> acc +. w) 0. a /. float_of_int n in
+  let bound = float_of_int (20 * n) in
+  let send_words = per_party sent in
+  let receive_words = per_party received in
+  check (Printf.sprintf "send %.0f words <= %.0f" send_words bound) true (send_words <= bound);
+  check
+    (Printf.sprintf "receive %.0f words <= %.0f" receive_words bound)
+    true (receive_words <= bound);
+  (* and the run is a correct honest one *)
+  Array.iter
+    (fun (_, st) ->
+      Array.iteri
+        (fun leader (r : float Gradecast.result) ->
+          check "honest leader graded 2" true
+            (r.grade = Gradecast.G2 && r.value = Some (float_of_int leader)))
+        (Multi.results st))
+    received
+
 let test_rounds_constant () =
   check_int "three rounds" 3 Multi.rounds;
   let report =
@@ -195,4 +467,10 @@ let () =
         ] );
       ( "random-byzantine",
         [ QCheck_alcotest.to_alcotest prop_random_byzantine ] );
+      ( "plurality",
+        [
+          QCheck_alcotest.to_alcotest prop_round3_reference;
+          Alcotest.test_case "round 3 allocates O(n) words per party" `Quick
+            test_round3_allocation;
+        ] );
     ]

@@ -213,7 +213,8 @@ let test_chaos_grammar () =
   check "unknown clause rejected" true
     (Result.is_error (Service_chaos.parse "melt-wire:0.5"));
   (* floats print with 12 significant digits, so these round-trip too;
-     whitespace around an integer is ignored *)
+     whitespace around an integer is ignored; a large exponent prints
+     without the [+] that separates clauses *)
   List.iter
     (fun s ->
       match Service_chaos.parse s with
@@ -221,7 +222,7 @@ let test_chaos_grammar () =
       | Ok p ->
           check ("roundtrip " ^ s) true
             (Service_chaos.parse (Service_chaos.to_string p) = Ok p))
-    [ "corrupt-frame:0.1234567"; "seed: 5" ];
+    [ "corrupt-frame:0.1234567"; "seed: 5"; "stall:0.5:1e12" ];
   check "padded seed" true
     (Result.map (fun p -> p.Service_chaos.seed) (Service_chaos.parse "seed: 5")
     = Ok 5)
