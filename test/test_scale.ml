@@ -280,6 +280,95 @@ let golden_faults_n7 =
 let test_fault_goldens_n7 () =
   check_golden ~specs:(golden_fault_specs ~n:7 ~t:2) ~n:7 golden_faults_n7
 
+(* Spoiler cells, watchdogs on: the full send path under the phased
+   tree spoiler and the RealAA spoiler. The outcome digest pins what
+   honest parties decided; the md5 of the whole record also pins every
+   round's telemetry, [adversary_bytes] included, so a change to how the
+   spoiler builds its rows shows up even when no decision moves. *)
+let golden_spoiler_specs ~n ~t =
+  let open Campaign.Spec in
+  [
+    golden_spec ~n ~t "tree-aa" Tree_aa (Star_tree (Exactly 9)) Random_vertices
+      Tree_spoiler;
+    golden_spec ~n ~t "realaa" (Real_aa { eps = 1.0 })
+      (Path_tree (Exactly 12)) (Linspace_reals 1000.) Real_spoiler;
+  ]
+
+let golden_spoiler_n7 =
+  [
+    ( "tree-aa",
+      "4a5f9ff5f079a7463216453e6d552e5c",
+      "336efd65a3db89fe8f7c9b5010c2bfe4" );
+    ( "realaa",
+      "f78d39ac681461ee9d41558959c07d12",
+      "c88c0e9d2b60c251dae7ef00f592db52" );
+  ]
+
+let test_spoiler_goldens_n7 () =
+  let specs = golden_spoiler_specs ~n:7 ~t:2 in
+  List.iter
+    (fun (name, want_digest, want_record) ->
+      let spec = List.find (fun s -> s.Campaign.Spec.name = name) specs in
+      match Recorder.record spec ~task_seed:42 with
+      | Error m -> Alcotest.failf "%s spoiler: record failed: %s" name m
+      | Ok (r, _) ->
+          Alcotest.(check (option string))
+            (name ^ " spoiler outcome digest")
+            (Some want_digest) r.Recorder.digest;
+          Alcotest.(check string)
+            (name ^ " spoiler record md5")
+            want_record
+            (Digest.to_hex (Digest.string (Recorder.to_string r))))
+    golden_spoiler_n7
+
+(* A history-reading adversary: the gradecast leader is a puppeteer that
+   replays the honest protocol from the delivered traffic and equivocates
+   on its round-1 value. The digest covers every honest output and every
+   recorded trace letter, rendered exactly (floats in hex). *)
+let test_puppeteer_golden_n7 () =
+  let module Multi = Gradecast.Multi in
+  let inputs self = float_of_int (10 * (self + 1)) in
+  let base = Gradecast.protocol ~leader:6 ~inputs ~t:2 in
+  let adversary =
+    Strategies.puppeteer ~name:"equivocate" ~protocol:base ~victims:[ 6 ]
+      ~twist:(fun ~round ~src:_ ~dst m ->
+        match (round, m) with
+        | 1, Multi.Value _ -> Some (Multi.Value (if dst < 3 then 1.0 else 2.0))
+        | _ -> Some m)
+  in
+  let report =
+    Engine.run ~n:7 ~t:2 ~max_rounds:3 ~record_trace:true ~protocol:base
+      ~adversary ()
+  in
+  let b = Buffer.create 4096 in
+  let value = function
+    | None -> Buffer.add_char b '_'
+    | Some v -> Printf.bprintf b "%h" v
+  in
+  let row r = Array.iter (fun v -> value v; Buffer.add_char b ',') r in
+  List.iter
+    (fun (p, (r : float Gradecast.result)) ->
+      Printf.bprintf b "p%d:g%d:" p (Gradecast.grade_to_int r.grade);
+      value r.value;
+      Buffer.add_char b '\n')
+    report.Report.outputs;
+  List.iteri
+    (fun i round ->
+      Printf.bprintf b "round %d\n" (i + 1);
+      List.iter
+        (fun (l : float Multi.msg Types.letter) ->
+          Printf.bprintf b "%d>%d:" l.src l.dst;
+          (match l.body with
+          | Multi.Value v -> value (Some v)
+          | Multi.Echo r -> Buffer.add_char b 'E'; row r
+          | Multi.Vote r -> Buffer.add_char b 'V'; row r);
+          Buffer.add_char b '\n')
+        round)
+    report.Report.trace;
+  Alcotest.(check string) "puppeteer outputs + trace digest"
+    "bf54f6fe9b26b429c175f0d0d584ea3e"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* The n = 300 rows take ~1.5 min together — out of tier-1, attached to
    @scale-smoke via AAT_SCALE_TESTS=1. *)
 let test_goldens_n300 () =
@@ -345,6 +434,9 @@ let () =
           Alcotest.test_case "n=7 all protocols" `Quick test_goldens_n7;
           Alcotest.test_case "n=7 fault-plan cells" `Quick
             test_fault_goldens_n7;
+          Alcotest.test_case "n=7 spoiler cells" `Quick test_spoiler_goldens_n7;
+          Alcotest.test_case "n=7 puppeteer trace" `Quick
+            test_puppeteer_golden_n7;
           Alcotest.test_case "n=300 (AAT_SCALE_TESTS=1)" `Slow
             test_goldens_n300;
         ] );
