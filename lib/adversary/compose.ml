@@ -17,6 +17,8 @@ let unwrap2 letters =
     letters
 
 let phased ~name ~barrier ~first ~second =
+  (* History is unwrapped only into a phase that declared it reads it;
+     the other phase sees [[]], as the engine shows any non-reader. *)
   let view1 (view : _ Adversary.view) =
     {
       Adversary.round = view.round;
@@ -24,7 +26,9 @@ let phased ~name ~barrier ~first ~second =
       t = view.t;
       corrupted = view.corrupted;
       honest_outbox = unwrap1 view.honest_outbox;
-      history = List.map unwrap1 view.history;
+      history =
+        (if first.Adversary.reads_history then List.map unwrap1 view.history
+         else []);
       rng = view.rng;
     }
   in
@@ -42,13 +46,18 @@ let phased ~name ~barrier ~first ~second =
       t = view.t;
       corrupted = view.corrupted;
       honest_outbox = unwrap2 view.honest_outbox;
-      history = List.map unwrap2 (take phase2_rounds view.history);
+      history =
+        (if second.Adversary.reads_history then
+           List.map unwrap2 (take phase2_rounds view.history)
+         else []);
       rng = view.rng;
     }
   in
   {
     Adversary.name;
     passive = false;
+    reads_history =
+      first.Adversary.reads_history || second.Adversary.reads_history;
     initial_corruptions = first.Adversary.initial_corruptions;
     corrupt_more =
       (fun view ->

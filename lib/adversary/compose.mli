@@ -17,4 +17,6 @@ val phased :
 (** [barrier] is the composition's [rounds_of_first]. The corruption set is
     [first]'s (both phases attack with the same corrupted parties, as the
     model requires — corruption is permanent). [second] sees rounds
-    renumbered from 1 and only phase-two traffic. *)
+    renumbered from 1 and only phase-two traffic. The composite reads
+    history iff either phase does, and each phase's view carries history
+    only if that phase declares [reads_history]. *)

@@ -125,45 +125,38 @@ let generic_spoiler ~relentless ~project ~embed ~t ~iterations =
             if not (List.mem b actively_spending) then
               List.iter (fun x -> say b x (Multi.Value (embed plan.cover))) honest)
           byz
-    | 2 ->
-        (* Echo vectors: planted value for spending leaders toward the
-           selected voters; truthful echoes elsewhere. *)
-        List.iter
-          (fun c ->
-            List.iter
-              (fun x ->
-                let row = Array.make view.n None in
-                List.iter
-                  (fun b ->
-                    if List.mem x plan.voters then row.(b) <- Some (embed plan.planted))
-                  actively_spending;
-                List.iter
-                  (fun b ->
-                    if not (List.mem b actively_spending) then
-                      row.(b) <- Some (embed plan.cover))
-                  byz;
-                Hashtbl.iter (fun p v -> row.(p) <- Some (embed v)) plan.honest_value;
-                say c x (Multi.Echo row))
-              honest)
-          byz
     | _ ->
-        (* Vote vectors: planted value toward the target set only. *)
+        (* Round 2 echo vectors carry the planted value for spending
+           leaders toward the selected voters, round 3 vote vectors toward
+           the target set; both are truthful elsewhere. A row depends only
+           on whether its recipient is in that class, so each round builds
+           two rows and every (Byzantine sender, honest recipient) letter
+           shares one: honest parties store received rows by reference and
+           never mutate them. Entries within a row stay distinct [Some]
+           boxes, each with its own [embed]: [Telemetry.payload_bytes]
+           counts a letter's reachable words, so sharing across letters is
+           invisible to it but sharing a box within a row is not. *)
+        let cls, wrap =
+          if sub = 2 then (plan.voters, fun row -> Multi.Echo row)
+          else (plan.targets, fun row -> Multi.Vote row)
+        in
+        let body ~in_class =
+          let row = Array.make view.n None in
+          if in_class then
+            List.iter (fun b -> row.(b) <- Some (embed plan.planted)) actively_spending;
+          List.iter
+            (fun b ->
+              if not (List.mem b actively_spending) then
+                row.(b) <- Some (embed plan.cover))
+            byz;
+          Hashtbl.iter (fun p v -> row.(p) <- Some (embed v)) plan.honest_value;
+          wrap row
+        in
+        let inside = body ~in_class:true and outside = body ~in_class:false in
         List.iter
           (fun c ->
             List.iter
-              (fun x ->
-                let row = Array.make view.n None in
-                List.iter
-                  (fun b ->
-                    if List.mem x plan.targets then row.(b) <- Some (embed plan.planted))
-                  actively_spending;
-                List.iter
-                  (fun b ->
-                    if not (List.mem b actively_spending) then
-                      row.(b) <- Some (embed plan.cover))
-                  byz;
-                Hashtbl.iter (fun p v -> row.(p) <- Some (embed v)) plan.honest_value;
-                say c x (Multi.Vote row))
+              (fun x -> say c x (if List.mem x cls then inside else outside))
               honest)
           byz);
     if sub = 3 && not relentless then
@@ -173,6 +166,7 @@ let generic_spoiler ~relentless ~project ~embed ~t ~iterations =
   {
     Adversary.name = "realaa-spoiler";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n ~t rng -> ignore rng; parties_of ~n ~t);
     corrupt_more = (fun _ -> []);
     deliver;

@@ -4,6 +4,7 @@ let silent ~victims =
   {
     Adversary.name = "silent";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> victims);
     corrupt_more = (fun _ -> []);
     deliver = (fun _ -> []);
@@ -13,6 +14,7 @@ let random_silent ~count =
   {
     Adversary.name = "random-silent";
     passive = false;
+    reads_history = false;
     initial_corruptions =
       (fun ~n ~t rng ->
         Aat_util.Rng.sample_without_replacement rng (min count (min t n)) n);
@@ -28,6 +30,7 @@ let crash ~at_round ~victims =
   {
     Adversary.name = Printf.sprintf "crash@r%d" at_round;
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> []);
     corrupt_more =
       (fun view ->
@@ -90,6 +93,7 @@ let puppeteer ~name ~protocol ~victims ~twist =
   {
     Adversary.name;
     passive = false;
+    reads_history = true;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> victims);
     corrupt_more = (fun _ -> []);
     deliver =

@@ -47,7 +47,9 @@ val puppeteer :
     rewrite a message per recipient ([Some m']) or drop it ([None]).
     [twist ... m = Some m] for all arguments is an honest-but-corrupted
     party; per-[dst] rewriting is equivocation; systematic [None] toward a
-    subset is selective omission. *)
+    subset is selective omission. The victims' copies are caught up from
+    [view.history], so the strategy declares [reads_history]; it is the
+    only one in this library that does. *)
 
 val omit_towards :
   name:string ->

@@ -34,6 +34,7 @@ let naive_wedge () =
   {
     Adversary.name = "naive-wedge";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n ~t _ -> List.init t (fun i -> n - t + i));
     corrupt_more = (fun _ -> []);
     deliver =
@@ -80,6 +81,7 @@ let gradecast_wedge () =
   {
     Adversary.name = "gradecast-wedge";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n ~t _ -> List.init t (fun i -> n - t + i));
     corrupt_more = (fun _ -> []);
     deliver =

@@ -167,7 +167,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
     ?(observe : (s -> float option) option)
     ?(fault_filter : Runtime.Mailbox.fault_filter option)
     ?(crash_faults : (Types.party_id * Types.round) list = [])
-    ?(watchdogs : (s, m) Runtime.Watchdog.t list = [])
+    ?(watchdogs : s Runtime.Watchdog.t list = [])
     ~(reactor : (s, m, o) reactor) ~(adversary : m adversary) () =
   if n < 1 then invalid_arg "Async_engine.run: n < 1";
   if t < 0 || t >= n then invalid_arg "Async_engine.run: need 0 <= t < n";
@@ -187,11 +187,13 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
     (adversary.core.initial_corruptions ~n ~t rng);
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
   (* A passive adversary never corrupts, injects, or reads its view, so
-     the per-event view (and the delivered-letter history backing it) is
-     skipped wholesale — the history list is what made long passive runs
-     scale with total deliveries rather than pool size. *)
+     the per-event view is skipped wholesale. The delivered-letter history
+     is kept only for its two readers, an adversary that declares it reads
+     history and the recorded trace: a run that kept it regardless grew
+     with total deliveries rather than pool size. *)
   let passive = adversary.core.Adversary.passive in
-  let track_history = (not passive) || record_trace in
+  let reads_history = adversary.core.Adversary.reads_history in
+  let track_history = reads_history || record_trace in
   let states : s option array = Array.make n None in
   let outputs : o option array = Array.make n None in
   let decided_at = Array.make n (-1) in
@@ -394,7 +396,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
       t;
       corrupted = Runtime.Corruption.flags corruption;
       honest_outbox = [];
-      history = !history;
+      history = (if reads_history then !history else []);
       rng;
     }
   in
@@ -493,8 +495,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
               post_from dst letters
         end;
         if Runtime.Watchdog.armed watch then
-          Runtime.Watchdog.step watch ~round:!step ~delivered:[ letter ]
-            ~states:(honest_states ())
+          Runtime.Watchdog.step watch ~round:!step ~states:(honest_states ())
             ~corrupted:(Runtime.Corruption.set corruption);
         if live && !step - !chunk_start >= telemetry_stride then flush_chunk ()
       end

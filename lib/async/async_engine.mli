@@ -26,9 +26,10 @@
     returns the unified {!Aat_runtime.Report.t} ([engine = "async"], all
     "round" fields counted in delivery events). The adversary's view at
     each event has [round] = event number, an empty [honest_outbox] (no
-    round barrier to rush) and [history] = one singleton list per past
-    delivery — so every strategy in [lib/adversary] runs here unchanged,
-    wrapped by {!with_scheduler}. *)
+    round barrier to rush) and, for a strategy that declares
+    [reads_history], [history] = one singleton list per past delivery
+    ([[]] otherwise) — so every strategy in [lib/adversary] runs here
+    unchanged, wrapped by {!with_scheduler}. *)
 
 open Aat_engine
 
@@ -112,7 +113,7 @@ val run_outcome :
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
-  ?watchdogs:('s, 'm) Aat_runtime.Watchdog.t list ->
+  ?watchdogs:'s Aat_runtime.Watchdog.t list ->
   reactor:('s, 'm, 'o) reactor ->
   adversary:'m adversary ->
   unit ->
@@ -146,7 +147,7 @@ val run :
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
-  ?watchdogs:('s, 'm) Aat_runtime.Watchdog.t list ->
+  ?watchdogs:'s Aat_runtime.Watchdog.t list ->
   reactor:('s, 'm, 'o) reactor ->
   adversary:'m adversary ->
   unit ->

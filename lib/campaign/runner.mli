@@ -114,7 +114,7 @@ val of_protocol :
   adversary:(unit -> 'm Adversary.t) ->
   ?observe:('s -> float option) ->
   ?fault_plan:Aat_faults.Plan.t ->
-  ?watchdogs:(unit -> ('s, 'm) Aat_runtime.Watchdog.t list) ->
+  ?watchdogs:(unit -> 's Aat_runtime.Watchdog.t list) ->
   check:(('o, 'm) Aat_runtime.Report.t -> Verdict.t) ->
   ?spread:(('o, 'm) Aat_runtime.Report.t -> float option) ->
   unit ->

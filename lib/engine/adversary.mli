@@ -16,7 +16,8 @@ type 'msg view = 'msg Aat_runtime.Adversary.view = {
   honest_outbox : 'msg Types.letter list;
       (** what honest parties are sending this round (rushing power) *)
   history : 'msg Types.letter list list;
-      (** delivered traffic of past rounds, most recent first *)
+      (** delivered traffic of past rounds, most recent first; [[]]
+          unless the strategy declares [reads_history] *)
   rng : Aat_util.Rng.t;  (** adversary's private randomness *)
 }
 
@@ -26,6 +27,11 @@ type 'msg t = 'msg Aat_runtime.Adversary.t = {
       (** Observably inert: never corrupts, never sends, never reads its
           view — lets engines skip view materialisation. Only
           {!passive} sets this. *)
+  reads_history : bool;
+      (** Reads [view.history] — engines retain delivered letters for the
+          view only then. Set by the strategy's own constructor:
+          [Strategies.puppeteer], and [Compose.phased] as the OR of its
+          phases. *)
   initial_corruptions : n:int -> t:int -> Aat_util.Rng.t -> Types.party_id list;
       (** Corrupted set at round 1; may be empty for a purely adaptive
           strategy. Lists longer than [t] are truncated by the engine. *)
@@ -46,7 +52,8 @@ val static :
   pick:(n:int -> t:int -> Aat_util.Rng.t -> Types.party_id list) ->
   deliver:('msg view -> 'msg Types.letter list) ->
   'msg t
-(** Static adversary: fixed corruption set, no adaptive corruptions. *)
+(** Static adversary: fixed corruption set, no adaptive corruptions. It
+    does not declare [reads_history], so [deliver] sees [history = []]. *)
 
 val corrupted_parties : 'msg view -> Types.party_id list
 

@@ -31,7 +31,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     ?(profile = false) ?(observe : (s -> float option) option)
     ?(fault_filter : Runtime.Mailbox.fault_filter option)
     ?(crash_faults : (Types.party_id * Types.round) list = [])
-    ?(watchdogs : (s, m) Runtime.Watchdog.t list = [])
+    ?(watchdogs : s Runtime.Watchdog.t list = [])
     ~(protocol : (s, m, o) Protocol.t) ~(adversary : m Adversary.t) () =
   if n < 1 then invalid_arg "Sync_engine.run: n < 1";
   if t < 0 || t >= n then invalid_arg "Sync_engine.run: need 0 <= t < n";
@@ -57,15 +57,16 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
   (* Engine fast path. A passive adversary never corrupts, never sends and
-     never reads its view, so the per-round view materialisation (history
-     retention, outbox reversal, corruption-flag copies) is skipped and
-     honest letters stream straight from [send] into the mailbox — the hot
-     path at n ~ 10^4 allocates no per-letter envelopes at all. *)
+     never reads its view, so the per-round view materialisation (outbox
+     reversal, corruption-flag copies) is skipped and honest letters
+     stream straight from [send] into the mailbox — the hot path at
+     n ~ 10^4 allocates no per-letter envelopes at all. *)
   let passive = adversary.Adversary.passive in
-  (* The delivered-letter list is only materialised for consumers that
-     read letters: the adversary's history (any non-passive run), the
-     recorded trace, and watchdogs. Counters cover everything else. *)
-  let track_delivered = (not passive) || record_trace || watchdogs <> [] in
+  (* The delivered-letter list has two readers: an adversary that declares
+     it reads its history, and the recorded trace. Without either the
+     mailbox builds no letter per delivery; counters cover the rest. *)
+  let reads_history = adversary.Adversary.reads_history in
+  let track_delivered = reads_history || record_trace in
   Runtime.Mailbox.set_delivered_tracking mailbox track_delivered;
   (* Telemetry: with the null sink every per-round emission below is skipped
      wholesale ([live] is false), so untelemetered runs pay nothing. *)
@@ -96,8 +97,9 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     Array.init n (fun p ->
         if corrupted p then Corrupt else Live (protocol.init ~self:p ~n))
   in
+  (* Delivered letters, most recent round first: the adversary view's
+     [history] and, reversed, the trace. *)
   let history = ref [] in
-  let trace = ref [] in
   let watch = Runtime.Watchdog.start watchdogs in
   let undecided () =
     Array.exists (function Live _ -> true | Done _ | Corrupt -> false) slots
@@ -205,7 +207,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
             t;
             corrupted = Runtime.Corruption.flags corruption;
             honest_outbox = List.rev !honest_outbox;
-            history = !history;
+            history = (if reads_history then !history else []);
             rng;
           }
         in
@@ -244,14 +246,13 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         byz_count := List.length byz_letters;
         Runtime.Mailbox.note_honest mailbox !honest_count;
         Runtime.Mailbox.note_adversary mailbox !byz_count;
-        history := Runtime.Mailbox.delivered mailbox :: !history;
         if live then begin
           List.iter (fun l -> meter l honest_bytes) !honest_outbox;
           List.iter (fun l -> meter l adversary_bytes) byz_letters
         end
       end;
-      let delivered = Runtime.Mailbox.delivered mailbox in
-      if record_trace then trace := delivered :: !trace;
+      if track_delivered then
+        history := Runtime.Mailbox.delivered mailbox :: !history;
       (* 5. honest receive + termination. On telemetered runs with an
          [observe] function, each party's post-receive state is sampled here —
          including parties deciding this round, whose state is about to be
@@ -279,7 +280,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
           | Done _ | Corrupt -> ())
         slots;
       if wd_live then
-        Runtime.Watchdog.step watch ~round:r ~delivered
+        Runtime.Watchdog.step watch ~round:r
           ~states:(List.rev !wd_states_rev)
           ~corrupted:(Runtime.Corruption.set corruption);
       (* 6. telemetry: one event per round, after receives so that probes
@@ -362,7 +363,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       honest_messages = Runtime.Mailbox.honest_messages mailbox;
       adversary_messages = Runtime.Mailbox.adversary_messages mailbox;
       rejected_forgeries = Runtime.Mailbox.rejected_forgeries mailbox;
-      trace = List.rev !trace;
+      trace = (if record_trace then List.rev !history else []);
       fault_stats = Runtime.Mailbox.fault_stats mailbox ~crashed:!crashed;
       watchdog_violations = Runtime.Watchdog.violations watch;
     }

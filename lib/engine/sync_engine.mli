@@ -66,7 +66,7 @@ val run_outcome :
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
-  ?watchdogs:('s, 'm) Aat_runtime.Watchdog.t list ->
+  ?watchdogs:'s Aat_runtime.Watchdog.t list ->
   protocol:('s, 'm, 'o) Protocol.t ->
   adversary:'m Adversary.t ->
   unit ->
@@ -103,7 +103,7 @@ val run :
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
-  ?watchdogs:('s, 'm) Aat_runtime.Watchdog.t list ->
+  ?watchdogs:'s Aat_runtime.Watchdog.t list ->
   protocol:('s, 'm, 'o) Protocol.t ->
   adversary:'m Adversary.t ->
   unit ->

@@ -5,7 +5,7 @@ module Types = Aat_runtime.Types
 let corruption_budget ~t =
   let high_water = ref 0 in
   RW.make ~name:"corruption-budget"
-    (fun ~round:_ ~delivered:_ ~states:_ ~corrupted ->
+    (fun ~round:_ ~states:_ ~corrupted ->
       let k = Aat_runtime.Party_set.cardinal corrupted in
       if k < !high_water then
         Some
@@ -23,7 +23,7 @@ let corruption_budget ~t =
 let spread_non_expansion ?(tolerance = 1e-9) ~observe () =
   let prev = ref None in
   RW.make ~name:"spread-non-expansion"
-    (fun ~round:_ ~delivered:_ ~states ~corrupted:_ ->
+    (fun ~round:_ ~states ~corrupted:_ ->
       let values =
         List.filter_map (fun (_, s) -> observe s) states
       in
@@ -54,7 +54,7 @@ let spread_non_expansion ?(tolerance = 1e-9) ~observe () =
 let hull_containment ~rooted ~inputs ~vertex_of () =
   let hull = ref None in
   RW.make ~name:"hull-containment"
-    (fun ~round ~delivered:_ ~states ~corrupted ->
+    (fun ~round ~states ~corrupted ->
       let h =
         match !hull with
         | Some h -> h
@@ -91,7 +91,7 @@ let hull_containment ~rooted ~inputs ~vertex_of () =
 
 let grade_consistency ~grades_of ~pp_value () =
   RW.make ~name:"grade-consistency"
-    (fun ~round ~delivered:_ ~states ~corrupted:_ ->
+    (fun ~round ~states ~corrupted:_ ->
       (* Gradecast soundness: no two honest parties may hold grade-2
          results with different values for the same slot. *)
       let best : (int, Types.party_id * string) Hashtbl.t =

@@ -12,7 +12,7 @@
     [Report.watchdog_violations] and keep running — see
     [docs/FAULTS.md] for the catalog's invariant-to-paper mapping. *)
 
-val corruption_budget : t:int -> ('s, 'm) Aat_runtime.Watchdog.t
+val corruption_budget : t:int -> 's Aat_runtime.Watchdog.t
 (** Fires when the corrupted-or-crashed party count exceeds [t] (the
     over-budget regime that downgrades [Violated] to [Excused]), or if
     the corruption set ever shrinks — corruption is monotone by
@@ -22,7 +22,7 @@ val spread_non_expansion :
   ?tolerance:float ->
   observe:('s -> float option) ->
   unit ->
-  ('s, 'm) Aat_runtime.Watchdog.t
+  's Aat_runtime.Watchdog.t
 (** The contraction invariant of RealAA / iterated midpoint: the envelope
     [min, max] over observable honest values must never expand from one
     round to the next. [observe] maps a party state to its current value
@@ -34,7 +34,7 @@ val hull_containment :
   inputs:Aat_tree.Labeled_tree.vertex array ->
   vertex_of:('s -> Aat_tree.Labeled_tree.vertex option) ->
   unit ->
-  ('s, 'm) Aat_runtime.Watchdog.t
+  's Aat_runtime.Watchdog.t
 (** Def. 2 Validity as a runtime invariant: every observable honest
     position must lie in the convex hull of honest inputs. The reference
     hull is computed at the watchdog's first check from [inputs] minus
@@ -45,7 +45,7 @@ val grade_consistency :
   grades_of:('s -> (int * 'v) list) ->
   pp_value:('v -> string) ->
   unit ->
-  ('s, 'm) Aat_runtime.Watchdog.t
+  's Aat_runtime.Watchdog.t
 (** Gradecast soundness: no two honest parties may simultaneously hold
     grade-2 results with different values for the same slot. [grades_of]
     extracts the [(slot, value)] pairs currently held at grade 2 (e.g.

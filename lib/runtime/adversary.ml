@@ -11,6 +11,7 @@ type 'msg view = {
 type 'msg t = {
   name : string;
   passive : bool;
+  reads_history : bool;
   initial_corruptions : n:int -> t:int -> Aat_util.Rng.t -> Types.party_id list;
   corrupt_more : 'msg view -> Types.party_id list;
   deliver : 'msg view -> 'msg Types.letter list;
@@ -20,6 +21,7 @@ let passive name =
   {
     name;
     passive = true;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> []);
     corrupt_more = (fun _ -> []);
     deliver = (fun _ -> []);
@@ -29,6 +31,7 @@ let static ~name ~pick ~deliver =
   {
     name;
     passive = false;
+    reads_history = false;
     initial_corruptions = pick;
     corrupt_more = (fun _ -> []);
     deliver;

@@ -7,8 +7,8 @@
     corrupted parties send. This interface gives a strategy exactly those
     powers and nothing more:
 
-    - it observes the full traffic history and the current round's honest
-      outbox (rushing),
+    - it observes the current round's honest outbox (rushing) and, if it
+      declares [reads_history], the full delivered-traffic history,
     - it may request additional corruptions at any point (the engine
       enforces the budget [t]),
     - it emits arbitrary messages {e from corrupted senders only}
@@ -38,7 +38,8 @@ type 'msg view = {
           always [[]] under the asynchronous engine *)
   history : 'msg Types.letter list list;
       (** delivered traffic, most recent first — grouped per round
-          (synchronous) or one singleton per delivery event (asynchronous) *)
+          (synchronous) or one singleton per delivery event (asynchronous).
+          Always [[]] unless the strategy declares [reads_history]. *)
   rng : Aat_util.Rng.t;  (** adversary's private randomness *)
 }
 
@@ -47,10 +48,18 @@ type 'msg t = {
   passive : bool;
       (** Declares the strategy observably inert: it never corrupts and
           never sends, {e and does not read its view} — so engines may
-          skip materialising the view (history retention, outbox reversal,
-          corruption-flag copies) entirely. Only {!passive} sets this;
-          a passive-by-construction custom strategy that still inspects
-          its view must leave it [false]. *)
+          skip materialising the view (outbox reversal, corruption-flag
+          copies) entirely. Only {!passive} sets this; a
+          passive-by-construction custom strategy that still inspects its
+          view must leave it [false]. *)
+  reads_history : bool;
+      (** Declares that the strategy reads [view.history]. Engines keep
+          delivered letters for the view only then: a strategy declaring
+          [false] sees [history = []] in every view, and the run retains
+          no traffic on its behalf. Like [passive], it is the strategy
+          constructor's own declaration — [Strategies.puppeteer] sets it,
+          [Compose.phased] takes the OR of its two phases, everything else
+          leaves it [false]. *)
   initial_corruptions : n:int -> t:int -> Aat_util.Rng.t -> Types.party_id list;
       (** Corrupted set at the start of the run; may be empty for a purely
           adaptive strategy. Lists longer than [t] are truncated by the
@@ -72,7 +81,8 @@ val static :
   pick:(n:int -> t:int -> Aat_util.Rng.t -> Types.party_id list) ->
   deliver:('msg view -> 'msg Types.letter list) ->
   'msg t
-(** Static adversary: fixed corruption set, no adaptive corruptions. *)
+(** Static adversary: fixed corruption set, no adaptive corruptions. It
+    does not declare [reads_history], so [deliver] sees [history = []]. *)
 
 val corrupted_parties : 'msg view -> Types.party_id list
 

@@ -140,7 +140,7 @@ val delivered_count : 'msg t -> int
 
 val set_delivered_tracking : 'msg t -> bool -> unit
 (** Default on. Engines switch tracking off when nothing will read the
-    per-round delivered {e list} (passive adversary, no watchdogs, no
-    trace recording): at n = 10^4 the list alone is ~10^8 live letters a
-    round, and no reader means no reason to build it. {!delivered_count}
-    keeps counting either way. *)
+    per-round delivered {e list} (an adversary that does not declare
+    [reads_history], no trace recording): at n = 10^4 the list alone is
+    ~10^8 live letters a round, and no reader means no reason to build
+    it. {!delivered_count} keeps counting either way. *)

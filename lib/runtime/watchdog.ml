@@ -4,11 +4,10 @@ type violation = {
   detail : string;
 }
 
-type ('s, 'msg) t = {
+type 's t = {
   name : string;
   check :
     round:Types.round ->
-    delivered:'msg Types.letter list ->
     states:(Types.party_id * 's) list ->
     corrupted:Party_set.t ->
     string option;
@@ -18,11 +17,10 @@ let make ~name check = { name; check }
 
 let name wd = wd.name
 
-let check wd ~round ~delivered ~states ~corrupted =
-  wd.check ~round ~delivered ~states ~corrupted
+let check wd ~round ~states ~corrupted = wd.check ~round ~states ~corrupted
 
-type ('s, 'msg) running = {
-  mutable armed : ('s, 'msg) t list;
+type 's running = {
+  mutable armed : 's t list;
   mutable fired_rev : violation list;
 }
 
@@ -30,11 +28,11 @@ let start watchdogs = { armed = watchdogs; fired_rev = [] }
 
 let armed r = r.armed <> []
 
-let step r ~round ~delivered ~states ~corrupted =
+let step r ~round ~states ~corrupted =
   r.armed <-
     List.filter
       (fun wd ->
-        match wd.check ~round ~delivered ~states ~corrupted with
+        match wd.check ~round ~states ~corrupted with
         | None -> true
         | Some detail ->
             r.fired_rev <- { watchdog = wd.name; round; detail } :: r.fired_rev;

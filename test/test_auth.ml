@@ -75,6 +75,7 @@ let equivocator ~victim ~keyring =
   {
     Adversary.name = "signed-equivocator";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> [ victim ]);
     corrupt_more = (fun _ -> []);
     deliver =
@@ -122,6 +123,7 @@ let selective ~victim ~keyring =
   {
     Adversary.name = "selective-sender";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> [ victim ]);
     corrupt_more = (fun _ -> []);
     deliver =
@@ -157,6 +159,7 @@ let replayer ~keyring:_ =
   {
     Adversary.name = "replayer";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n:_ ~t:_ _ -> [ 6 ]);
     corrupt_more = (fun _ -> []);
     deliver =
@@ -209,6 +212,7 @@ let prop_random_byz_value_consistency =
         {
           Adversary.name = "random-signed";
           passive = false;
+          reads_history = false;
           initial_corruptions = (fun ~n:_ ~t:_ _ -> [ 6 ]);
           corrupt_more = (fun _ -> []);
           deliver =

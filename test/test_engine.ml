@@ -108,6 +108,7 @@ let test_adaptive_corruption_budget () =
     {
       Adversary.name = "adaptive-greedy";
       passive = false;
+      reads_history = false;
       initial_corruptions = (fun ~n:_ ~t:_ _ -> [ 0 ]);
       corrupt_more = (fun view -> if view.Adversary.round = 1 then [ 1; 2; 3 ] else []);
       deliver = (fun _ -> []);

@@ -342,6 +342,37 @@ let test_watchdogs_benign_zero_cost () =
   check "no violations recorded" true
     ((report_of watched).Report.watchdog_violations = [])
 
+(* The catalog reads states, not traffic, so switching it on must not make
+   the engine build a letter per delivery: a passive n = 13 star-9 tree-aa
+   cell delivers n² letters a round, and the whole catalog may cost only
+   O(n) words a round on top of the unwatched run. *)
+let test_watchdogs_allocate_per_party () =
+  let n = 13 in
+  let tree = Generate.star 9 in
+  let inputs = Array.init n (fun i -> i mod Tree.n_vertices tree) in
+  let measure watch =
+    let runner =
+      Runner.tree_aa
+        ~config:{ Runner.Config.default with Runner.Config.watch }
+        ~tree ~inputs ~t:4
+        ~adversary:(fun () -> Adversary.passive "none")
+        ()
+    in
+    ignore (runner.Runner.run ~seed:1 ());
+    let w0 = Gc.minor_words () in
+    let o = runner.Runner.run ~seed:1 () in
+    (Gc.minor_words () -. w0, o)
+  in
+  let off, bare = measure false in
+  let on, watched = measure true in
+  check "both runs ok" true (Runner.ok bare && Runner.ok watched);
+  check_int "every pair talks every round" (n * n * watched.Runner.rounds_used)
+    watched.Runner.honest_messages;
+  let extra = on -. off and bound = 16 * n * watched.Runner.rounds_used in
+  if extra > float_of_int bound then
+    Alcotest.failf "watchdogs cost %.0f words over %d rounds (bound 16·n·rounds = %d)"
+      extra watched.Runner.rounds_used bound
+
 let test_corruption_budget_fires () =
   (* Over-budget corruption must be recorded, not thrown: install the
      budget watchdog at t = 0 while the adversary corrupts one party. The
@@ -374,24 +405,22 @@ let test_corruption_budget_fires () =
           .Report.watchdog_violations );
     ]
 
-let no_letters : unit Types.letter list = []
-
 let no_corrupted = Aat_runtime.Party_set.create ~n:8
 
 let test_spread_non_expansion_direct () =
   let w = Fault_watchdogs.spread_non_expansion ~observe:(fun x -> Some x) () in
   check "round 1 establishes the envelope" true
-    (Watchdog.check w ~round:1 ~delivered:no_letters
+    (Watchdog.check w ~round:1
        ~states:[ (0, 0.); (1, 10.) ]
        ~corrupted:no_corrupted
     = None);
   check "contraction passes" true
-    (Watchdog.check w ~round:2 ~delivered:no_letters
+    (Watchdog.check w ~round:2
        ~states:[ (0, 2.); (1, 8.) ]
        ~corrupted:no_corrupted
     = None);
   check "expansion fires" true
-    (Watchdog.check w ~round:3 ~delivered:no_letters
+    (Watchdog.check w ~round:3
        ~states:[ (0, -5.); (1, 12.) ]
        ~corrupted:no_corrupted
     <> None)
@@ -404,12 +433,12 @@ let test_hull_containment_direct () =
       ()
   in
   check "in-hull positions pass" true
-    (Watchdog.check w ~round:1 ~delivered:no_letters
+    (Watchdog.check w ~round:1
        ~states:[ (0, 2); (1, 3) ]
        ~corrupted:no_corrupted
     = None);
   check "out-of-hull position fires" true
-    (Watchdog.check w ~round:2 ~delivered:no_letters
+    (Watchdog.check w ~round:2
        ~states:[ (0, 0) ]
        ~corrupted:no_corrupted
     <> None)
@@ -419,12 +448,12 @@ let test_grade_consistency_direct () =
     Fault_watchdogs.grade_consistency ~grades_of:Fun.id ~pp_value:Fun.id ()
   in
   check "agreeing grade-2 values pass" true
-    (Watchdog.check w ~round:1 ~delivered:no_letters
+    (Watchdog.check w ~round:1
        ~states:[ (0, [ (0, "x") ]); (1, [ (0, "x") ]) ]
        ~corrupted:no_corrupted
     = None);
   check "conflicting grade-2 values fire" true
-    (Watchdog.check w ~round:2 ~delivered:no_letters
+    (Watchdog.check w ~round:2
        ~states:[ (0, [ (0, "x") ]); (1, [ (0, "y") ]) ]
        ~corrupted:no_corrupted
     <> None)
@@ -578,6 +607,8 @@ let () =
         [
           Alcotest.test_case "benign run unchanged" `Quick
             test_watchdogs_benign_zero_cost;
+          Alcotest.test_case "catalog costs O(n) words a round" `Quick
+            test_watchdogs_allocate_per_party;
           Alcotest.test_case "corruption budget fires" `Quick
             test_corruption_budget_fires;
           Alcotest.test_case "spread non-expansion" `Quick

@@ -119,6 +119,7 @@ let random_forger ~seed =
   {
     Adversary.name = "random-forger";
     passive = false;
+    reads_history = false;
     initial_corruptions = (fun ~n ~t _ -> List.init t (fun i -> n - t + i));
     corrupt_more = (fun _ -> []);
     deliver =
