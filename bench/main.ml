@@ -1,27 +1,22 @@
 (* The experiment harness: regenerates every table of EXPERIMENTS.md (the
-   quantitative claims of the paper — see DESIGN.md section 4) and hosts the
-   Bechamel micro-benchmarks. The tables themselves live in
-   Aat_bench_tables (shared with `treeaa bench check`); this executable
-   adds the file writing, profiling, the convergence-series export and the
-   Bechamel suite.
+   quantitative claims of the paper — see DESIGN.md section 4). The tables
+   themselves live in Aat_bench_tables (shared with `treeaa bench check`);
+   this executable adds the file writing and the convergence-series export.
+   Wall-clock cost is measured by the perfbench cost ledger, not here.
 
    Usage:
-     dune exec bench/main.exe                 # all tables + micro-benchmarks
+     dune exec bench/main.exe                 # all tables
      dune exec bench/main.exe -- --table E3   # one table
-     dune exec bench/main.exe -- --bechamel   # micro-benchmarks only
-     dune exec bench/main.exe -- --all        # tables + micro-benchmarks
+     dune exec bench/main.exe -- --all        # all tables
      dune exec bench/main.exe -- --convergence [FILE]
                                               # per-round convergence JSON
 
    Flags (anywhere on the line):
      --workers N   fan parallel tables over N domains (numbers unchanged)
-     --json-out    also write each table group as BENCH_<NAME>.json (cwd)
-     --profile     per-table wall-clock / allocation summary at the end *)
+     --json-out    also write each table group as BENCH_<NAME>.json (cwd) *)
 
 open Treeagree
 module Tables = Aat_bench_tables
-
-let print_table = Tables.print_table
 
 (* ------------------------------------------------------------------ *)
 (* convergence series: per-round honest-hull diameter via the telemetry
@@ -30,7 +25,8 @@ let print_table = Tables.print_table
 let convergence out_file =
   let series = ref [] in
   let add name tree_kind stats =
-    series := (name, tree_kind, Telemetry.Stats.convergence stats) :: !series
+    series :=
+      (name, tree_kind, Trace.convergence (Trace.of_stats stats)) :: !series
   in
   (* RealAA under the spoiler: the Lemma 5 contraction, round by round *)
   List.iter
@@ -107,104 +103,25 @@ let convergence out_file =
       Printf.printf "convergence series written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
 
-let bechamel () =
-  let open Bechamel in
-  let path10k = Generate.path 10_000 in
-  let rooted10k = Rooted.make path10k in
-  let tour10k = Euler_tour.compute rooted10k in
-  let lca10k = Lca.build tour10k in
-  let random1k = Generate.random (Rng.create 9) 1_000 in
-  let rooted1k = Rooted.make random1k in
-  let generators = List.init 20 (fun i -> i * 37 mod 1_000) in
-  let small_tree = Generate.caterpillar ~spine:30 ~legs:2 in
-  let small_inputs =
-    Array.init 7 (fun i -> i * 11 mod Tree.n_vertices small_tree)
-  in
-  let tests =
-    Test.make_grouped ~name:"treeagree"
-      [
-        Test.make ~name:"euler-tour-10k"
-          (Staged.stage (fun () -> ignore (Euler_tour.compute rooted10k)));
-        Test.make ~name:"lca-build-10k"
-          (Staged.stage (fun () -> ignore (Lca.build tour10k)));
-        Test.make ~name:"lca-query"
-          (Staged.stage (fun () -> ignore (Lca.query lca10k 137 9_221)));
-        Test.make ~name:"hull-1k-20gen"
-          (Staged.stage (fun () -> ignore (Convex_hull.compute rooted1k generators)));
-        Test.make ~name:"diameter-10k"
-          (Staged.stage (fun () -> ignore (Metrics.diameter path10k)));
-        Test.make ~name:"fekete-min-rounds"
-          (Staged.stage (fun () ->
-               ignore (Fekete.min_rounds ~n:100 ~t:33 ~d:1e9 ~eps:1.)));
-        Test.make ~name:"tree-aa-run-7p"
-          (Staged.stage (fun () ->
-               ignore
-                 (Tree_aa.run ~tree:small_tree ~inputs:small_inputs ~t:2
-                    ~adversary:(Adversary.passive "none") ())));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        match Analyze.OLS.estimates res with
-        | Some [ est ] ->
-            [ name; Printf.sprintf "%.0f" est; Printf.sprintf "%.3f" (est /. 1e6) ]
-            :: acc
-        | _ -> [ name; "?"; "?" ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_table ~title:"Micro-benchmarks (Bechamel, monotonic clock)"
-    ~header:[ "benchmark"; "ns/run"; "ms/run" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-
-let write_json_table ~name ~profile tables_captured =
-  let path = Printf.sprintf "BENCH_%s.json" name in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Tables.render_group ~name ~profile tables_captured));
-  Printf.printf "table group %s written to %s\n" name path
-
-(* Run one table group under the capture/measurement harness. Returns its
-   profile row; cost numbers are measurements, so committed BENCH files
-   are regenerated without --profile. *)
-let run_table ~json_out ~profile (name, f) =
-  let t0 = Unix.gettimeofday () in
-  let a0 = Gc.allocated_bytes () in
+(* Run one table group under the capture harness; with --json-out, write
+   it as BENCH_<NAME>.json. *)
+let run_table ~json_out (name, f) =
   let tables_captured = Tables.run_captured ~capture:json_out f in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let alloc_mb = (Gc.allocated_bytes () -. a0) /. (1024. *. 1024.) in
-  if json_out then
-    write_json_table ~name
-      ~profile:(if profile then Some (wall_s, alloc_mb) else None)
-      tables_captured;
-  (name, wall_s, alloc_mb)
-
-let print_profile rows =
-  print_table ~title:"Table cost profile (--profile; wall clock, GC)"
-    ~header:[ "table"; "wall s"; "alloc MB" ]
-    (List.map
-       (fun (name, wall_s, alloc_mb) ->
-         [ name; Printf.sprintf "%.2f" wall_s; Printf.sprintf "%.1f" alloc_mb ])
-       rows)
+  if json_out then begin
+    let path = Printf.sprintf "BENCH_%s.json" name in
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc (Tables.render_group ~name tables_captured));
+    Printf.printf "table group %s written to %s\n" name path
+  end
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --workers N / --json-out / --profile may appear anywhere; none of
-     them affects a single digit of the tables (the parallel tables run
-     on the deterministic Pool; capture and measurement only observe). *)
+  (* --workers N / --json-out may appear anywhere; neither affects a
+     single digit of the tables (the parallel tables run on the
+     deterministic Pool; capture only observes). *)
   let rec extract_opt name acc = function
     | flag :: n :: rest when flag = name -> (
         match Codec.parse Codec.int n with
@@ -231,29 +148,21 @@ let () =
     | None -> (workers, false)
   in
   let json_out, args = extract_flag "--json-out" args in
-  let profile, args = extract_flag "--profile" args in
   let tables = Tables.tables ~workers ~distributed in
-  let run = run_table ~json_out ~profile in
+  let run = run_table ~json_out in
   match args with
-  | [ "--bechamel" ] -> bechamel ()
   | [ "--convergence" ] -> convergence None
   | [ "--convergence"; file ] -> convergence (Some file)
   | [ "--table"; name ] -> (
       match List.assoc_opt (String.uppercase_ascii name) tables with
-      | Some f ->
-          let row = run (String.uppercase_ascii name, f) in
-          if profile then print_profile [ row ]
+      | Some f -> run (String.uppercase_ascii name, f)
       | None ->
           Printf.eprintf "unknown table %s (have: %s)\n" name
             (String.concat ", " (List.map fst tables));
           exit 1)
-  | [ "--all" ] | [] ->
-      let rows = List.map run tables in
-      if profile then print_profile rows;
-      bechamel ()
+  | [ "--all" ] | [] -> List.iter run tables
   | _ ->
       Printf.eprintf
-        "usage: main.exe [--table E1..E10 | --bechamel | --convergence \
-         [FILE] | --all] [--workers N] [--distributed N] [--json-out] \
-         [--profile]\n";
+        "usage: main.exe [--table E1..E10 | --convergence [FILE] | --all] \
+         [--workers N] [--distributed N] [--json-out]\n";
       exit 1

@@ -162,7 +162,7 @@ module Telemetry = Aat_telemetry.Telemetry
 
 let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
     ?patience ?(seed = 0) ?(record_trace = false)
-    ?(telemetry = Telemetry.Sink.null) ?(profile = false)
+    ?(telemetry = Telemetry.Sink.null)
     ?(telemetry_stride = Runtime.Defaults.telemetry_stride)
     ?(observe : (s -> float option) option)
     ?(fault_filter : Runtime.Mailbox.fault_filter option)
@@ -237,13 +237,8 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
         seed;
         initial_corruptions = Runtime.Corruption.corrupted_list corruption;
       };
-  (* Profiling samples ride telemetry chunks: with the null sink (or
-     profiling off, the default) no clock is read and no sample is built. *)
-  let profiling = live && profile in
   let chunk = ref 0 in
   let chunk_start = ref 0 in
-  let chunk_t0 = ref (if profiling then Unix.gettimeofday () else 0.) in
-  let chunk_a0 = ref (if profiling then Gc.allocated_bytes () else 0.) in
   let chunk_honest = ref 0 in
   let chunk_injected = ref 0 in
   let chunk_forgeries = ref 0 in
@@ -296,20 +291,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
                [ ("fault_events", !chunk_faults_mark) ]
              else []);
           snapshot;
-          profile =
-            (if profiling then
-               Some
-                 {
-                   Telemetry.wall_ns =
-                     int_of_float ((Unix.gettimeofday () -. !chunk_t0) *. 1e9);
-                   alloc_bytes = Gc.allocated_bytes () -. !chunk_a0;
-                 }
-             else None);
         };
-      if profiling then begin
-        chunk_t0 := Unix.gettimeofday ();
-        chunk_a0 := Gc.allocated_bytes ()
-      end;
       chunk_start := !step;
       chunk_honest := 0;
       chunk_injected := 0;
@@ -542,13 +524,13 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
       Runtime.Outcome.Liveness_timeout
         { Runtime.Outcome.report; undecided = undecided_parties (); reason }
 
-let run ~n ~t ?max_events ?patience ?seed ?record_trace ?telemetry ?profile
+let run ~n ~t ?max_events ?patience ?seed ?record_trace ?telemetry
     ?telemetry_stride ?observe ?fault_filter ?crash_faults ?watchdogs ~reactor
     ~adversary () =
   match
     run_outcome ~n ~t ?max_events ?patience ?seed ?record_trace ?telemetry
-      ?profile ?telemetry_stride ?observe ?fault_filter ?crash_faults
-      ?watchdogs ~reactor ~adversary ()
+      ?telemetry_stride ?observe ?fault_filter ?crash_faults ?watchdogs
+      ~reactor ~adversary ()
   with
   | Runtime.Outcome.Completed report -> report
   | Runtime.Outcome.Liveness_timeout { reason; _ } ->

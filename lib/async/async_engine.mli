@@ -108,7 +108,6 @@ val run_outcome :
   ?seed:int ->
   ?record_trace:bool ->
   ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  ?profile:bool ->
   ?telemetry_stride:int ->
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
@@ -142,7 +141,6 @@ val run :
   ?seed:int ->
   ?record_trace:bool ->
   ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  ?profile:bool ->
   ?telemetry_stride:int ->
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
@@ -163,6 +161,4 @@ val run :
     (default {!Aat_runtime.Defaults.telemetry_stride}) events; each chunk
     emits one event whose [round] is the 1-based chunk index. [observe]
     samples undecided honest reactors' states at each chunk boundary for
-    the convergence snapshot. [profile] (default [false]) attaches a
-    wall-clock/GC-allocation sample to each telemetered chunk event; with
-    the null sink no clock is read at all (see {!Sync_engine.run}). *)
+    the convergence snapshot. *)

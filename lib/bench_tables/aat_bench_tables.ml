@@ -13,10 +13,9 @@ type table = string * string list * string list list
 
 (* Under --json-out every printed table is also captured here (in print
    order) and dumped as BENCH_<GROUP>.json after the group runs; the
-   committed BENCH_*.json files at the repo root are regenerated this way
-   (without --profile, so they stay deterministic). [quiet] additionally
-   suppresses the printing — the drift checker regenerates groups for
-   their bytes alone. *)
+   committed BENCH_*.json files at the repo root are regenerated this way.
+   [quiet] additionally suppresses the printing — the drift checker
+   regenerates groups for their bytes alone. *)
 let capturing = ref false
 let quiet = ref false
 let captured : table list ref = ref []
@@ -1016,12 +1015,10 @@ let table_gap ~workers () =
 
 (* ------------------------------------------------------------------ *)
 (* SCALE — transport-core scaling after the flat-array mailbox rewrite.
-   Two tables are printed; only the first is captured into
-   BENCH_SCALE.json. Its columns (rounds, messages, bytes/round) are
-   deterministic functions of the run, so the committed file regenerates
-   exactly on any machine and is drift-gated in CI. Wall-clock throughput
-   is printed in the second, never-captured table: timings are
-   measurements and would churn the gate. *)
+   Its columns (rounds, messages, bytes/round) are deterministic functions
+   of the run, so BENCH_SCALE.json regenerates exactly on any machine and
+   is drift-gated in CI. Wall-clock throughput is the cost ledger's job
+   (perfbench's scale-* workloads). *)
 
 let table_scale () =
   let byte_sink bytes =
@@ -1034,13 +1031,8 @@ let table_scale () =
       on_stop = ignore;
     }
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let det = ref [] and timings = ref [] in
-  let emit ~label ~n ~t ~rounds ~msgs ~bytes ~dt =
+  let det = ref [] in
+  let emit ~label ~n ~t ~rounds ~msgs ~bytes =
     det :=
       [
         label;
@@ -1050,15 +1042,7 @@ let table_scale () =
         string_of_int msgs;
         string_of_int (bytes / max 1 rounds);
       ]
-      :: !det;
-    timings :=
-      [
-        label;
-        string_of_int n;
-        Printf.sprintf "%.2f" dt;
-        Printf.sprintf "%.2f" (float_of_int rounds /. Float.max dt 1e-9);
-      ]
-      :: !timings
+      :: !det
   in
   let tree_row label tree ~n =
     let t = (n - 1) / 3 in
@@ -1066,15 +1050,14 @@ let table_scale () =
     let nv = Tree.n_vertices tree in
     let inputs = Array.init n (fun _ -> Rng.int rng nv) in
     let bytes = ref 0 in
-    let report, dt =
-      time (fun () ->
-          Tree_aa.run ~tree ~inputs ~t ~seed:3 ~telemetry:(byte_sink bytes)
-            ~adversary:(Adversary.passive "none")
-            ())
+    let report =
+      Tree_aa.run ~tree ~inputs ~t ~seed:3 ~telemetry:(byte_sink bytes)
+        ~adversary:(Adversary.passive "none")
+        ()
     in
     emit ~label:("tree-aa/" ^ label) ~n ~t
       ~rounds:report.Engine.rounds_used ~msgs:report.Engine.honest_messages
-      ~bytes:!bytes ~dt
+      ~bytes:!bytes
   in
   let midpoint_row ~n =
     let t = (n - 1) / 3 in
@@ -1082,15 +1065,14 @@ let table_scale () =
       Array.init n (fun i -> float_of_int i /. float_of_int n *. 1000.)
     in
     let bytes = ref 0 in
-    let report, dt =
-      time (fun () ->
-          Iterated_midpoint.run_naive ~seed:3 ~telemetry:(byte_sink bytes)
-            ~inputs ~t ~iterations:10
-            ~adversary:(Adversary.passive "none")
-            ())
+    let report =
+      Iterated_midpoint.run_naive ~seed:3 ~telemetry:(byte_sink bytes)
+        ~inputs ~t ~iterations:10
+        ~adversary:(Adversary.passive "none")
+        ()
     in
     emit ~label:"midpoint-naive" ~n ~t ~rounds:report.Engine.rounds_used
-      ~msgs:report.Engine.honest_messages ~bytes:!bytes ~dt
+      ~msgs:report.Engine.honest_messages ~bytes:!bytes
   in
   (* Full tree-aa (gradecast transport, Θ(n²) letters of Θ(n) payload per
      round) to n = 300; a degenerate single-vertex tree carries the
@@ -1106,15 +1088,7 @@ let table_scale () =
     ~title:
       "SCALE transport scaling (deterministic columns only — drift-gated)"
     ~header:[ "protocol"; "n"; "t"; "rounds"; "honest msgs"; "bytes/round" ]
-    (List.rev !det);
-  (* measurements: print for the eye, never capture into the JSON *)
-  let was_capturing = !capturing in
-  capturing := false;
-  print_table
-    ~title:"SCALE wall-clock (informational; excluded from BENCH_SCALE.json)"
-    ~header:[ "protocol"; "n"; "wall s"; "rounds/s" ]
-    (List.rev !timings);
-  capturing := was_capturing
+    (List.rev !det)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1147,42 +1121,32 @@ let run_captured ~capture f =
   captured := [];
   out
 
-(* One table group as BENCH_<NAME>.json: the captured tables verbatim,
-   plus the measured cost when profiling. Stable field order, tables in
-   print order, so regenerated files diff cleanly. *)
-let group_json ~name ~profile tables_captured =
+(* One table group as BENCH_<NAME>.json: the captured tables verbatim.
+   Stable field order, tables in print order, so regenerated files diff
+   cleanly. *)
+let group_json ~name tables_captured =
   let module Json = Telemetry.Json in
   let str_row row = Json.Arr (List.map (fun c -> Json.Str c) row) in
   Json.Obj
-    ([
-       ("schema", Json.Str "treeagree-bench/v1");
-       ("format_version", Json.Str Telemetry.format_version_string);
-       ("table", Json.Str name);
-       ( "tables",
-         Json.Arr
-           (List.map
-              (fun (title, header, rows) ->
-                Json.Obj
-                  [
-                    ("title", Json.Str title);
-                    ("header", str_row header);
-                    ("rows", Json.Arr (List.map str_row rows));
-                  ])
-              tables_captured) );
-     ]
-    @
-    match profile with
-    | None -> []
-    | Some (wall_s, alloc_mb) ->
-        [
-          ( "profile",
-            Json.Obj
-              [ ("wall_s", Json.Num wall_s); ("alloc_mb", Json.Num alloc_mb) ]
-          );
-        ])
+    [
+      ("schema", Json.Str "treeagree-bench/v1");
+      ("format_version", Json.Str Telemetry.format_version_string);
+      ("table", Json.Str name);
+      ( "tables",
+        Json.Arr
+          (List.map
+             (fun (title, header, rows) ->
+               Json.Obj
+                 [
+                   ("title", Json.Str title);
+                   ("header", str_row header);
+                   ("rows", Json.Arr (List.map str_row rows));
+                 ])
+             tables_captured) );
+    ]
 
-let render_group ~name ~profile tables_captured =
-  Telemetry.Json.to_string (group_json ~name ~profile tables_captured) ^ "\n"
+let render_group ~name tables_captured =
+  Telemetry.Json.to_string (group_json ~name tables_captured) ^ "\n"
 
 type drift = {
   path : string;
@@ -1242,7 +1206,7 @@ let check_files ?(distributed = false) ~workers paths =
                           ~finally:(fun () -> quiet := false)
                           (fun () -> run_captured ~capture:true f)
                       in
-                      let expected = render_group ~name ~profile:None regen in
+                      let expected = render_group ~name regen in
                       if String.equal expected bytes then
                         { path; table = Some name; verdict = `Match }
                       else

@@ -6,7 +6,7 @@
     groups from {!tables}, runs them under {!run_captured}, and writes
     {!render_group} bytes to [BENCH_<NAME>.json]. The committed
     BENCH_*.json files at the repo root are regenerated exactly that way
-    (without profiling, so they stay deterministic), and {!check_files}
+    (every captured column is deterministic), and {!check_files}
     closes the loop — it regenerates each committed file in memory,
     with table printing suppressed, and byte-compares. CI's drift gates
     run [treeaa bench check BENCH_*.json] on top of it.
@@ -41,15 +41,11 @@ val run_captured : capture:bool -> (unit -> unit) -> table list
 (** Run one table group; with [capture] also record every table it
     prints and return them in print order (otherwise [[]]). *)
 
-val group_json :
-  name:string -> profile:(float * float) option -> table list -> Aat_telemetry.Jsonx.t
+val group_json : name:string -> table list -> Aat_telemetry.Jsonx.t
 (** The BENCH_<name>.json document for a captured group: stable field
-    order, tables in print order. [profile] is the measured
-    [(wall_s, alloc_mb)] cost, present only under [--profile] — the
-    committed files omit it so they regenerate bit-identically. *)
+    order, tables in print order. *)
 
-val render_group :
-  name:string -> profile:(float * float) option -> table list -> string
+val render_group : name:string -> table list -> string
 (** The exact file bytes: rendered {!group_json} plus a trailing
     newline. *)
 

@@ -241,7 +241,7 @@ let of_protocol ~name ~n ~t ~max_rounds ~protocol ~adversary ?observe
         let adversary = adversary () in
         let watchdogs = watchdogs () in
         fun () ->
-          Sync_engine.run_outcome ~n ~t ~seed ?telemetry ~profile ?observe
+          Sync_engine.run_outcome ~n ~t ~seed ?telemetry ?observe
             ?fault_filter
             ~crash_faults:(Plan.crashes fault_plan)
             ~watchdogs
@@ -371,7 +371,7 @@ let of_reactor (type s m o) ~name ~n ~t ~(config : Config.t)
         in
         let watchdogs = catalog ~t config () in
         fun () ->
-          Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry ~profile
+          Aat_async.Async_engine.run_outcome ~n ~t ~seed ?telemetry
             ~max_events:config.max_events ?fault_filter
             ~crash_faults:(Plan.crashes config.fault_plan)
             ~watchdogs ~reactor ~adversary ())

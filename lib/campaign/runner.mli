@@ -101,9 +101,10 @@ type t = {
     unit ->
     outcome;
 }
-(** [profile] (default [false]) fills the outcome's {!stage_profile} and
-    asks the engine for per-round cost samples on telemetered runs; off,
-    no clock is ever read. *)
+(** [profile] (default [false]) fills the outcome's {!stage_profile};
+    off, no clock is ever read. It is the library's one cost timer, read by
+    [treeaa campaign --profile], the service's stage spans and the
+    perfbench cost ledger; the engines themselves take no timings. *)
 
 val of_protocol :
   name:string ->

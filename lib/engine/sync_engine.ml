@@ -28,7 +28,7 @@ type ('s, 'o) slot =
 
 let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     ?(record_trace = false) ?(telemetry = Telemetry.Sink.null)
-    ?(profile = false) ?(observe : (s -> float option) option)
+    ?(observe : (s -> float option) option)
     ?(fault_filter : Runtime.Mailbox.fault_filter option)
     ?(crash_faults : (Types.party_id * Types.round) list = [])
     ?(watchdogs : s Runtime.Watchdog.t list = [])
@@ -71,9 +71,6 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
   (* Telemetry: with the null sink every per-round emission below is skipped
      wholesale ([live] is false), so untelemetered runs pay nothing. *)
   let live = not (Telemetry.Sink.is_null telemetry) in
-  (* Profiling samples ride telemetry events, so with the null sink (or
-     profiling off, the default) no clock is read and no sample is built. *)
-  let profiling = live && profile in
   if live then
     telemetry.Telemetry.Sink.on_start
       {
@@ -130,8 +127,6 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     else begin
       incr round;
       let r = !round in
-      let prof_t0 = if profiling then Unix.gettimeofday () else 0. in
-      let prof_a0 = if profiling then Gc.allocated_bytes () else 0. in
       let forgeries_before = Runtime.Mailbox.rejected_forgeries mailbox in
       let dropped_before =
         (Runtime.Mailbox.fault_stats mailbox ~crashed:0).Runtime.Report.dropped
@@ -320,16 +315,6 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
             grades;
             marks;
             snapshot = List.rev !snapshot_rev;
-            profile =
-              (if profiling then
-                 Some
-                   {
-                     Telemetry.wall_ns =
-                       int_of_float
-                         ((Unix.gettimeofday () -. prof_t0) *. 1e9);
-                     alloc_bytes = Gc.allocated_bytes () -. prof_a0;
-                   }
-               else None);
           }
       end
     end
@@ -379,11 +364,11 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       }
   else Runtime.Outcome.Completed report
 
-let run ~n ~t ?max_rounds ?seed ?record_trace ?telemetry ?profile ?observe
+let run ~n ~t ?max_rounds ?seed ?record_trace ?telemetry ?observe
     ?fault_filter ?crash_faults ?watchdogs ~protocol ~adversary () =
   match
-    run_outcome ~n ~t ?max_rounds ?seed ?record_trace ?telemetry ?profile
-      ?observe ?fault_filter ?crash_faults ?watchdogs ~protocol ~adversary ()
+    run_outcome ~n ~t ?max_rounds ?seed ?record_trace ?telemetry ?observe
+      ?fault_filter ?crash_faults ?watchdogs ~protocol ~adversary ()
   with
   | Runtime.Outcome.Completed report -> report
   | Runtime.Outcome.Liveness_timeout { reason; _ } ->

@@ -62,7 +62,6 @@ val run_outcome :
   ?seed:int ->
   ?record_trace:bool ->
   ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  ?profile:bool ->
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
@@ -99,7 +98,6 @@ val run :
   ?seed:int ->
   ?record_trace:bool ->
   ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  ?profile:bool ->
   ?observe:('s -> float option) ->
   ?fault_filter:Aat_runtime.Mailbox.fault_filter ->
   ?crash_faults:(Types.party_id * Types.round) list ->
@@ -122,14 +120,7 @@ val run :
     telemetry work is done at all. [observe], if given, samples each live
     party's post-receive state once per telemetered round into the event's
     honest-value snapshot (the convergence curve's raw data); it is only
-    called on telemetered runs.
-
-    [profile] (default [false]) attaches a wall-clock/GC-allocation
-    {!Aat_telemetry.Telemetry.profile_sample} to every telemetered round
-    event. Profiling rides telemetry: with the null sink (or [profile]
-    off) no clock is read and no sample is allocated, preserving the
-    null-sink zero-cost discipline. Samples are measurements, not
-    semantics — the execution itself is unaffected. *)
+    called on telemetered runs. *)
 
 val output_of : ('o, 'm) report -> Types.party_id -> 'o
 (** Output of an honest party. Raises [Not_found] for corrupted ids.

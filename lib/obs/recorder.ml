@@ -59,7 +59,7 @@ let verify_outcome t =
           (Printf.sprintf "outcome digest mismatch (recorded %s, actual %s)" d
              actual)
 
-let record ?(profile = false) spec ~task_seed =
+let record spec ~task_seed =
   match Campaign.Spec.validate spec with
   | Error m -> Error m
   | Ok () -> (
@@ -69,7 +69,7 @@ let record ?(profile = false) spec ~task_seed =
           let stats = Telemetry.Stats.create () in
           let outcome =
             runner.Runner.run ~seed:engine_seed
-              ~telemetry:(Telemetry.Stats.sink stats) ~profile ()
+              ~telemetry:(Telemetry.Stats.sink stats) ()
           in
           let t =
             {

@@ -45,13 +45,11 @@ val verify_outcome : t -> (unit, string) result
     see [docs/ROBUSTNESS.md]. *)
 
 val record :
-  ?profile:bool ->
   Aat_campaign.Campaign.Spec.t ->
   task_seed:int ->
   (t * Aat_campaign.Runner.outcome, string) result
 (** Validate, instantiate and run one cell of [spec] under a recording
-    telemetry sink; returns the record and the live outcome. [profile]
-    additionally attaches cost samples (the digest ignores them). *)
+    telemetry sink; returns the record and the live outcome. *)
 
 val repro_of :
   spec:Aat_campaign.Campaign.Spec.t -> Aat_campaign.Campaign.task_result -> t option

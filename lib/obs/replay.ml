@@ -14,8 +14,7 @@
         events;
      3. outcome divergence: the profile-stripped outcome digest.
 
-   Replays always run with profiling off; profile samples in the
-   recording are ignored by the comparison (see [Trace.fields_of_event]). *)
+   Replays always run with profiling off. *)
 
 module Telemetry = Aat_telemetry.Telemetry
 module Campaign = Aat_campaign.Campaign

@@ -31,6 +31,6 @@ val run : Recorder.t -> (t, string) Stdlib.result
 (** [Error] means the replay could not execute at all (spec no longer
     validates, or instantiation raised); divergences of a run that did
     execute arrive in the result's [verdict]. Replays run with profiling
-    off; profile samples in the recording are ignored. *)
+    off; a stage profile in the recorded outcome is outside the digest. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit

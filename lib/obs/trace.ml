@@ -107,18 +107,6 @@ let snapshot_of_json j =
           in
           go [] items)
 
-let profile_of_json j =
-  match Json.member "profile" j with
-  | None -> Ok None
-  | Some pj -> (
-      match
-        ( Option.bind (Json.member "wall_ns" pj) Json.to_int,
-          Option.bind (Json.member "alloc_bytes" pj) Json.to_float )
-      with
-      | Some wall_ns, Some alloc_bytes ->
-          Ok (Some { Telemetry.wall_ns; alloc_bytes })
-      | _ -> Error "malformed \"profile\" sample")
-
 let event_of_json j =
   let* round = req_int j "round" in
   let* honest_msgs = req_int j "honest_msgs" in
@@ -132,7 +120,6 @@ let event_of_json j =
   let* grades = grades_of_json j in
   let* marks = marks_of_json j in
   let* snapshot = snapshot_of_json j in
-  let* profile = profile_of_json j in
   Ok
     {
       Telemetry.round;
@@ -147,7 +134,6 @@ let event_of_json j =
       grades;
       marks;
       snapshot;
-      profile;
     }
 
 let summary_of_json j =
@@ -214,15 +200,12 @@ type divergence = {
 }
 
 (* An event as named, rendered fields — the unit of comparison. "type" is
-   constant and "profile" is a wall-clock measurement, so neither takes
-   part in divergence detection. *)
+   constant, so it takes no part in divergence detection. *)
 let fields_of_event e =
   match Telemetry.Jsonl.json_of_event e with
   | Json.Obj kvs ->
       List.filter_map
-        (fun (k, v) ->
-          if k = "type" || k = "profile" then None
-          else Some (k, Json.to_string v))
+        (fun (k, v) -> if k = "type" then None else Some (k, Json.to_string v))
         kvs
   | _ -> []
 
@@ -346,9 +329,6 @@ let convergence tr =
       | None -> None
       | Some s -> Some (e.round, s))
     tr.events
-
-let send_series tr =
-  List.map (fun (e : Telemetry.event) -> (e.round, e.sent_by)) tr.events
 
 let send_totals tr =
   let n =

@@ -32,8 +32,9 @@ val load : string -> (t, string) result
 (** {1 Divergence detection}
 
     The replay layer's comparison primitive: the first place two traces
-    of the same run disagree. The ["profile"] field of events is a
-    wall-clock measurement and never participates. *)
+    of the same run disagree. Event fields the parser does not know,
+    such as a ["profile"] timing object on a round line, are skipped on
+    parse and never participate. *)
 
 type divergence = {
   round : int;  (** [0] for a header mismatch *)
@@ -60,10 +61,7 @@ val pp_divergence : Format.formatter -> divergence -> unit
 
 val convergence : t -> (int * float) list
 (** (round, honest-value spread) per snapshotted round — the convergence
-    curve, as {!Aat_telemetry.Telemetry.Stats.convergence}. *)
-
-val send_series : t -> (int * int array) list
-(** Per-round per-party send counts — the send matrix, row per round. *)
+    curve. [convergence (of_stats st)] gives it for an in-memory run. *)
 
 val send_totals : t -> int array
 (** Letters submitted per party over the whole run. *)

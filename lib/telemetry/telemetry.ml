@@ -24,14 +24,6 @@ type run_meta = {
   initial_corruptions : int list;
 }
 
-(* Opt-in per-round profiling sample, attached by an engine running with
-   [~profile:true] on a telemetered run: wall-clock nanoseconds and
-   GC-allocated bytes spent in the round (the chunk, for the async engine).
-   Samples are measurements, not semantics — replay comparison and trace
-   diffing ignore them, and with profiling off (the default) no sample is
-   ever built. *)
-type profile_sample = { wall_ns : int; alloc_bytes : float }
-
 type event = {
   round : int;  (* 1-based; for the async engine, the chunk index *)
   honest_msgs : int;  (* honest letters submitted this round *)
@@ -45,7 +37,6 @@ type event = {
   grades : (int * int * int) option;  (* gradecast (g0, g1, g2) histogram *)
   marks : (string * int) list;  (* generic probe counters *)
   snapshot : (int * float) list;  (* honest (party, observed value) *)
-  profile : profile_sample option;  (* opt-in per-round cost sample *)
 }
 
 type summary = { rounds : int; honest_messages : int; adversary_messages : int }
@@ -226,27 +217,6 @@ module Stats = struct
 
   let total_adversary st = total (fun e -> e.adversary_msgs) st
 
-  let total_delivered st = total (fun e -> e.delivered_msgs) st
-
-  (* (round, honest, adversary) message counts, chronological *)
-  let per_round st =
-    List.rev_map (fun e -> (e.round, e.honest_msgs, e.adversary_msgs)) st.events_rev
-
-  (* total letters submitted per party over the run *)
-  let message_histogram st =
-    let n =
-      List.fold_left
-        (fun acc e -> max acc (Array.length e.sent_by))
-        (match st.meta with Some m -> m.n | None -> 0)
-        st.events_rev
-    in
-    let totals = Array.make n 0 in
-    List.iter
-      (fun e ->
-        Array.iteri (fun p c -> totals.(p) <- totals.(p) + c) e.sent_by)
-      st.events_rev;
-    totals
-
   (* summed gradecast grade histogram over the run *)
   let grade_totals st =
     List.fold_left
@@ -255,17 +225,6 @@ module Stats = struct
         | None -> (a0, a1, a2)
         | Some (g0, g1, g2) -> (a0 + g0, a1 + g1, a2 + g2))
       (0, 0, 0) st.events_rev
-
-  (* (round, honest-value spread) for every round that had a snapshot,
-     chronological — the convergence curve *)
-  let convergence st =
-    List.rev
-      (List.filter_map
-         (fun e ->
-           match spread_of_snapshot e.snapshot with
-           | None -> None
-           | Some s -> Some (e.round, s))
-         st.events_rev)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -331,20 +290,7 @@ module Jsonl = struct
                    snap) );
           ]
     in
-    let profile =
-      match e.profile with
-      | None -> []
-      | Some p ->
-          [
-            ( "profile",
-              Json.Obj
-                [
-                  ("wall_ns", Json.Num (float_of_int p.wall_ns));
-                  ("alloc_bytes", Json.Num p.alloc_bytes);
-                ] );
-          ]
-    in
-    Json.Obj (base @ grades @ marks @ snapshot @ profile)
+    Json.Obj (base @ grades @ marks @ snapshot)
 
   let json_of_summary (s : summary) =
     Json.Obj

@@ -3,8 +3,8 @@
    perturbations at the exact round and field, the spec codec inverts,
    failing campaign cells emit replayable repro records, traces parse
    back to exactly what the sinks accumulated, blame localization finds
-   the earliest demonstrable failure, and the profiler rides the
-   null-sink zero-cost discipline. *)
+   the earliest demonstrable failure, and the stage profiler changes no
+   outcome, telemetry event or digest. *)
 
 open Treeagree
 
@@ -354,7 +354,7 @@ let test_spec_read_file () =
   Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
-(* divergence detection localizes a perturbation; profiles never pin *)
+(* divergence detection localizes a perturbation *)
 
 let test_divergence_localization () =
   let record, _ = ok_or_fail "record" (Recorder.record fixed_spec ~task_seed:42) in
@@ -379,16 +379,7 @@ let test_divergence_localization () =
        ~actual:(List.filteri (fun i _ -> i < k) events)
    with
   | Some d -> Alcotest.(check string) "length mismatch field" "rounds" d.Trace.field
-  | None -> Alcotest.fail "truncation not detected");
-  (* profile samples are measurements, not semantics: never a divergence *)
-  let profiled =
-    List.map
-      (fun (e : Telemetry.event) ->
-        { e with profile = Some { Telemetry.wall_ns = 1; alloc_bytes = 2. } })
-      events
-  in
-  check "profile field ignored by comparison" true
-    (Trace.compare_events ~expected:profiled ~actual:events = None)
+  | None -> Alcotest.fail "truncation not detected")
 
 let test_spec_drift_detected () =
   let record, _ = ok_or_fail "record" (Recorder.record fixed_spec ~task_seed:7) in
@@ -501,6 +492,31 @@ let find_sub ~sub s =
   in
   go 0
 
+(* Traces written by `campaign --profile --trace-dir` before the engines
+   stopped timing rounds carry a "profile" object on every round line.
+   They must still parse, and compare equal to the same trace without. *)
+let test_profile_fields_ignored () =
+  let record, _ = ok_or_fail "record" (Recorder.record fixed_spec ~task_seed:42) in
+  let text = Recorder.to_string record in
+  let injected = ref 0 in
+  let inject line =
+    if String.starts_with ~prefix:{|{"type":"round"|} line then begin
+      incr injected;
+      String.sub line 0 (String.length line - 1)
+      ^ {|,"profile":{"wall_ns":1,"alloc_bytes":2}}|}
+    end
+    else line
+  in
+  let profiled_text =
+    String.concat "\n" (List.map inject (String.split_on_char '\n' text))
+  in
+  let plain = ok_or_fail "plain trace" (Trace.of_string text) in
+  let profiled = ok_or_fail "profiled trace" (Trace.of_string profiled_text) in
+  check "every round line carries a profile" true
+    (!injected > 0 && !injected = List.length plain.Trace.events);
+  check "profile field ignored by comparison" true
+    (Trace.diff ~expected:profiled ~actual:plain = None)
+
 let test_format_version_gate () =
   let path, _ = with_jsonl_and_stats () in
   Fun.protect
@@ -550,7 +566,6 @@ let synthetic_event round ~sent_by ~snapshot ~corruptions =
     grades = None;
     marks = [];
     snapshot;
-    profile = None;
   }
 
 let test_blame_spread_expansion () =
@@ -606,10 +621,12 @@ let test_blame_clean_trace () =
     (Trace.blame record.Recorder.trace = None)
 
 (* ------------------------------------------------------------------ *)
-(* profiler: samples when asked, nothing otherwise, digest-neutral *)
+(* profiler: stage costs when asked, nothing otherwise, digest-neutral *)
 
-let test_profile_samples () =
-  let runner, seed = Campaign.instantiate fixed_spec ~task_seed:7 in
+(* One cell run with and without ~profile:true, each under a stats sink:
+   ((outcome, events) profiled, (outcome, events) plain). *)
+let run_profiled_and_plain spec ~task_seed =
+  let runner, seed = Campaign.instantiate spec ~task_seed in
   let run ~profile =
     let stats = Telemetry.Stats.create () in
     let o =
@@ -618,19 +635,14 @@ let test_profile_samples () =
     in
     (o, Telemetry.Stats.events stats)
   in
-  let profiled, sampled_events = run ~profile:true in
-  let plain, plain_events = run ~profile:false in
-  check "every profiled event carries a sample" true
-    (List.for_all
-       (fun (e : Telemetry.event) ->
-         match e.profile with
-         | Some p -> p.Telemetry.wall_ns >= 0 && p.Telemetry.alloc_bytes >= 0.
-         | None -> false)
-       sampled_events);
-  check "no samples without --profile" true
-    (List.for_all
-       (fun (e : Telemetry.event) -> e.Telemetry.profile = None)
-       plain_events);
+  (run ~profile:true, run ~profile:false)
+
+let test_profile_samples () =
+  let (profiled, profiled_events), (plain, plain_events) =
+    run_profiled_and_plain fixed_spec ~task_seed:7
+  in
+  check "telemetry events equal with and without ~profile:true" true
+    (plain_events <> [] && profiled_events = plain_events);
   (match profiled.Runner.profile with
   | None -> Alcotest.fail "stage profile missing"
   | Some p ->
@@ -651,17 +663,11 @@ let test_profile_async_samples () =
       watchdogs = false;
     }
   in
-  let runner, seed = Campaign.instantiate spec ~task_seed:5 in
-  let stats = Telemetry.Stats.create () in
-  let o =
-    runner.Runner.run ~seed ~telemetry:(Telemetry.Stats.sink stats)
-      ~profile:true ()
+  let (o, profiled_events), (_, plain_events) =
+    run_profiled_and_plain spec ~task_seed:5
   in
-  check "async chunks carry samples" true
-    (Telemetry.Stats.events stats <> []
-    && List.for_all
-         (fun (e : Telemetry.event) -> e.Telemetry.profile <> None)
-         (Telemetry.Stats.events stats));
+  check "async telemetry events equal with and without ~profile:true" true
+    (plain_events <> [] && profiled_events = plain_events);
   check "async stage profile present" true (o.Runner.profile <> None)
 
 let test_profile_null_sink_neutral () =
@@ -673,13 +679,21 @@ let test_profile_null_sink_neutral () =
   check "null-sink profiled run identical modulo profile" true
     ({ nulled with Runner.profile = None } = bare)
 
+(* `campaign --profile --repro-dir` writes the stage profile into the
+   repro's outcome; the digest must not see it. *)
 let test_digest_ignores_profile () =
   let r1, _ = ok_or_fail "record" (Recorder.record fixed_spec ~task_seed:5) in
-  let r2, _ =
-    ok_or_fail "record" (Recorder.record ~profile:true fixed_spec ~task_seed:5)
-  in
-  check "profile never reaches the digest" true
-    (r1.Recorder.digest = r2.Recorder.digest && r1.Recorder.digest <> None)
+  let cell = Campaign.run_cell ~profile:true fixed_spec ~task:0 ~task_seed:5 in
+  match Recorder.repro_of ~spec:fixed_spec cell with
+  | None -> Alcotest.fail "profiled cell produced no repro record"
+  | Some r2 ->
+      check "repro outcome carries the stage profile" true
+        (match r2.Recorder.outcome with
+        | Some o -> Telemetry.Json.member "profile" o <> None
+        | None -> false);
+      check "profile never reaches the digest" true
+        (r1.Recorder.digest = r2.Recorder.digest && r1.Recorder.digest <> None);
+      check "profiled repro verifies" true (Recorder.verify_outcome r2 = Ok ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -716,6 +730,8 @@ let () =
             test_trace_load_matches_stats;
           Alcotest.test_case "format version gate" `Quick
             test_format_version_gate;
+          Alcotest.test_case "profile field ignored by comparison" `Quick
+            test_profile_fields_ignored;
         ] );
       ( "blame",
         [

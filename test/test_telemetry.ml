@@ -73,7 +73,9 @@ let prop_convergence_monotone =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let stats, _ = run_with_stats seed in
-      let spreads = List.map snd (Telemetry.Stats.convergence stats) in
+      let spreads =
+        List.map snd (Trace.convergence (Trace.of_stats stats))
+      in
       let rec mono = function
         | a :: (b :: _ as rest) -> b <= a +. 1e-9 && mono rest
         | _ -> true
