@@ -304,22 +304,55 @@ let golden_spoiler_n7 =
       "c88c0e9d2b60c251dae7ef00f592db52" );
   ]
 
-let test_spoiler_goldens_n7 () =
-  let specs = golden_spoiler_specs ~n:7 ~t:2 in
+let check_record_goldens ~what specs expected =
   List.iter
     (fun (name, want_digest, want_record) ->
       let spec = List.find (fun s -> s.Campaign.Spec.name = name) specs in
       match Recorder.record spec ~task_seed:42 with
-      | Error m -> Alcotest.failf "%s spoiler: record failed: %s" name m
+      | Error m -> Alcotest.failf "%s %s: record failed: %s" name what m
       | Ok (r, _) ->
           Alcotest.(check (option string))
-            (name ^ " spoiler outcome digest")
+            (Printf.sprintf "%s %s outcome digest" name what)
             (Some want_digest) r.Recorder.digest;
           Alcotest.(check string)
-            (name ^ " spoiler record md5")
+            (Printf.sprintf "%s %s record md5" name what)
             want_record
             (Digest.to_hex (Digest.string (Recorder.to_string r))))
+    expected
+
+let test_spoiler_goldens_n7 () =
+  check_record_goldens ~what:"spoiler" (golden_spoiler_specs ~n:7 ~t:2)
     golden_spoiler_n7
+
+(* The async pending pool under letter-level faults: [delay] stamps
+   letters into the future, so pool keys arrive out of order, and
+   [duplicate] enqueues one letter twice. Pinned like the spoiler cells,
+   by outcome digest and by the md5 of the whole record. *)
+let golden_async_fault_specs ~n ~t =
+  let open Campaign.Spec in
+  match Fault_plan_io.parse "delay:0.3:40;duplicate:0.1" with
+  | Error m -> failwith m
+  | Ok plan ->
+      [
+        {
+          (golden_spec ~n ~t "async-tree-aa" Async_tree_aa
+             (Star_tree (Exactly 9)) Random_vertices Passive)
+          with
+          faults = Fault_plan plan;
+        };
+      ]
+
+let golden_async_fault_n7 =
+  [
+    ( "async-tree-aa",
+      "f6758d9f2a712fdc7683c028a0106be5",
+      "40e5855422da06f6f100d98abd9b5de9" );
+  ]
+
+let test_async_fault_golden_n7 () =
+  check_record_goldens ~what:"delay/duplicate"
+    (golden_async_fault_specs ~n:7 ~t:2)
+    golden_async_fault_n7
 
 (* A history-reading adversary: the gradecast leader is a puppeteer that
    replays the honest protocol from the delivered traffic and equivocates
@@ -435,6 +468,8 @@ let () =
           Alcotest.test_case "n=7 fault-plan cells" `Quick
             test_fault_goldens_n7;
           Alcotest.test_case "n=7 spoiler cells" `Quick test_spoiler_goldens_n7;
+          Alcotest.test_case "n=7 async delay/duplicate cell" `Quick
+            test_async_fault_golden_n7;
           Alcotest.test_case "n=7 puppeteer trace" `Quick
             test_puppeteer_golden_n7;
           Alcotest.test_case "n=300 (AAT_SCALE_TESTS=1)" `Slow
