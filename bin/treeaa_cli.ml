@@ -266,8 +266,9 @@ let spec_file_term =
           "Load the full campaign spec from a JSON file (the same object \
            Spec_io embeds in flight-record headers and the service wire \
            hello). Takes precedence over every grid-shape flag \
-           (--protocol, --tree, --n, --t, --inputs, --adversary, --eps, \
-           --reps, --name, --seed, --fault-plan, --chaos, --watchdogs).")
+           (-p/--protocol, --tree, -n, -t, -i/--inputs, -a/--adversary, \
+           --eps, --reps, --name, --seed, --fault-plan, --chaos, \
+           --watchdogs).")
 
 let aggregate_summary name (agg : Campaign.aggregate) =
   let opt label v = if v = 0 then "" else Printf.sprintf ", %d %s" v label in

@@ -41,8 +41,6 @@ let reports_for st r =
       Hashtbl.replace st.reports r tbl;
       tbl
 
-let to_all st m = List.init st.n (fun p -> (p, m))
-
 (* Drive the iteration state machine as far as the collected evidence
    allows. Multiple steps can unlock at once (buffered future-iteration
    deliveries), hence the loop. *)
@@ -51,49 +49,52 @@ let rec try_progress st acc =
   else begin
     let r = st.iteration in
     let dels = deliveries st r in
-    let new_msgs = ref [] in
     (* step 1: report once n - t values are in *)
-    if (not (Hashtbl.mem st.reported r)) && Hashtbl.length dels >= st.n - st.t
-    then begin
-      Hashtbl.replace st.reported r ();
-      let ids = Hashtbl.fold (fun p _ acc -> p :: acc) dels [] in
-      new_msgs :=
-        to_all st (Report { iteration = r; ids = List.sort compare ids })
-        @ !new_msgs
-    end;
-    (* step 2: advance on n - t satisfied reports *)
-    let advanced =
-      Hashtbl.mem st.reported r
-      &&
-      let satisfied =
-        Hashtbl.fold
-          (fun _reporter ids count ->
-            if List.for_all (Hashtbl.mem dels) ids then count + 1 else count)
-          (reports_for st r) 0
-      in
-      if satisfied >= st.n - st.t then begin
-        let multiset = Hashtbl.fold (fun _ v acc -> v :: acc) dels [] in
-        (match st.combine multiset with
-        | Some v -> st.value <- v
-        | None -> ());
-        st.iteration <- r + 1;
-        if st.iteration > st.iterations then
-          st.decided <- Some { value = st.value; iterations_done = r }
-        else begin
-          let next =
-            Bracha.Instances.broadcast st.rbc ~self:st.self ~tag:st.iteration
-              st.value
-            |> List.map (fun (dst, m) -> (dst, Rbc m))
-          in
-          new_msgs := next @ !new_msgs
-        end;
-        true
+    let acc =
+      if
+        (not (Hashtbl.mem st.reported r)) && Hashtbl.length dels >= st.n - st.t
+      then begin
+        Hashtbl.replace st.reported r ();
+        let ids = Hashtbl.fold (fun p _ acc -> p :: acc) dels [] in
+        Async_engine.to_all ~n:st.n
+          (Report { iteration = r; ids = List.sort compare ids })
+          acc
       end
-      else false
+      else acc
     in
-    let acc = !new_msgs @ acc in
-    if advanced then try_progress st acc else acc
+    (* step 2: advance on n - t satisfied reports *)
+    let advance =
+      Hashtbl.mem st.reported r
+      && Hashtbl.fold
+           (fun _reporter ids count ->
+             if List.for_all (Hashtbl.mem dels) ids then count + 1 else count)
+           (reports_for st r) 0
+         >= st.n - st.t
+    in
+    if advance then begin
+      let multiset = Hashtbl.fold (fun _ v acc -> v :: acc) dels [] in
+      (match st.combine multiset with Some v -> st.value <- v | None -> ());
+      st.iteration <- r + 1;
+      if st.iteration > st.iterations then begin
+        st.decided <- Some { value = st.value; iterations_done = r };
+        acc
+      end
+      else
+        try_progress st
+          (Async_engine.to_all ~n:st.n
+             (Rbc
+                (Bracha.Instances.broadcast ~self:st.self ~tag:st.iteration
+                   st.value))
+             acc)
+    end
+    else acc
   end
+
+(* [try_progress] reads only the current iteration's deliveries and
+   reports and leaves a fixpoint behind, so it needs to run only after a
+   message added to them. *)
+let progress st iteration =
+  if iteration = st.iteration then try_progress st [] else []
 
 let reactor ~name ~inputs ~t ~iterations ~combine ~validate =
   {
@@ -122,50 +123,49 @@ let reactor ~name ~inputs ~t ~iterations ~combine ~validate =
           (st, [])
         end
         else
-          let letters =
-            Bracha.Instances.broadcast st.rbc ~self ~tag:1 st.value
-            |> List.map (fun (dst, m) -> (dst, Rbc m))
-          in
-          (st, letters))
+          let init = Bracha.Instances.broadcast ~self ~tag:1 st.value in
+          (st, Async_engine.to_all ~n (Rbc init) []))
     ;
     on_message =
-      (fun ~self e st ->
-        let immediate =
-          match e.Types.payload with
-          | Rbc rbc_msg ->
-              let out, delivered =
-                Bracha.Instances.handle st.rbc ~self
-                  { e with Types.payload = rbc_msg }
-              in
-              List.iter
-                (fun ((key : Bracha.key), v) ->
-                  if
-                    key.tag >= 1
-                    && key.tag <= st.iterations
-                    && st.validate v
-                  then begin
-                    let dels = deliveries st key.tag in
-                    if not (Hashtbl.mem dels key.origin) then
-                      Hashtbl.replace dels key.origin v
-                  end)
-                delivered;
-              List.map (fun (dst, m) -> (dst, Rbc m)) out
-          | Report { iteration; ids } ->
-              (* malformed (too small / duplicated / out-of-range) reports
-                 are discarded: the witness intersection argument needs
-                 every accepted report to carry >= n - t distinct ids *)
-              let distinct = List.sort_uniq compare ids in
-              if
-                iteration >= 1
-                && iteration <= st.iterations
-                && List.length distinct = List.length ids
-                && List.length ids >= st.n - st.t
-                && List.for_all (fun p -> p >= 0 && p < st.n) ids
-              then Hashtbl.replace (reports_for st iteration) e.Types.sender ids;
-              []
-        in
-        let followups = try_progress st [] in
-        (st, immediate @ followups));
+      (fun ~self:_ e st ->
+        match e.Types.payload with
+        | Rbc rbc_msg ->
+            let out, delivered =
+              Bracha.Instances.handle st.rbc ~sender:e.Types.sender rbc_msg
+            in
+            let followups =
+              match delivered with
+              | Some ((key : Bracha.key), v)
+                when key.tag >= 1 && key.tag <= st.iterations && st.validate v
+                ->
+                  let dels = deliveries st key.tag in
+                  if Hashtbl.mem dels key.origin then []
+                  else begin
+                    Hashtbl.replace dels key.origin v;
+                    progress st key.tag
+                  end
+              | _ -> []
+            in
+            ( st,
+              match out with
+              | Some m -> Async_engine.to_all ~n:st.n (Rbc m) followups
+              | None -> followups )
+        | Report { iteration; ids } ->
+            (* malformed (too small / duplicated / out-of-range) reports
+               are discarded: the witness intersection argument needs
+               every accepted report to carry >= n - t distinct ids *)
+            let distinct = List.sort_uniq compare ids in
+            if
+              iteration >= 1
+              && iteration <= st.iterations
+              && List.length distinct = List.length ids
+              && List.length ids >= st.n - st.t
+              && List.for_all (fun p -> p >= 0 && p < st.n) ids
+            then begin
+              Hashtbl.replace (reports_for st iteration) e.Types.sender ids;
+              (st, progress st iteration)
+            end
+            else (st, []));
     output = (fun st -> st.decided);
   }
 

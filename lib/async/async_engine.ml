@@ -12,18 +12,19 @@ type ('state, 'msg, 'out) reactor = {
   output : 'state -> 'out option;
 }
 
-type 'msg pending = { letter : 'msg Types.letter; enqueued_at : int }
+let to_all ~n m rest =
+  let rec go p acc = if p < 0 then acc else go (p - 1) ((p, m) :: acc) in
+  go (n - 1) rest
 
-type 'msg scheduler =
+type scheduler =
   | Fifo
   | Lifo
   | Random_order
   | Laggards of Types.party_id list
-  | Custom of ('msg pending array -> Aat_util.Rng.t -> int)
 
 type 'msg adversary = {
   core : 'msg Adversary.t;
-  scheduler : 'msg scheduler;
+  scheduler : scheduler;
 }
 
 let passive ?(scheduler = Fifo) name =
@@ -50,113 +51,27 @@ type ('out, 'msg) report = ('out, 'msg) Runtime.Report.t = {
 
 exception Exceeded_max_events of string
 
-(* The pending pool is a growable array with swap-removal: delivery order is
-   entirely in the scheduler's hands (plus the patience override), so pool
-   order does not matter semantically.
-
-   The patience override (and Fifo, the default scheduler) needs the
-   oldest pending message on *every* delivery event; a linear scan made
-   every async run quadratic in pool size. A segment tree over the slot
-   keys keeps the argmin at its root: [key.(j)] is slot [j]'s
-   [enqueued_at] ([max_int] when free), [tree] holds [2 * base] node
-   entries with leaf [base + j] fixed at [j] and every internal node the
-   argmin of its children {e with ties to the left}. Leaf order equals
-   slot order, so a left-tie-break yields the {e leftmost} minimal slot
-   — exactly the index the old first-minimum scan produced, which is
-   what keeps the n=7 async bit-identity goldens green. O(log) updates
-   on add/take, O(1) root read. Keys need not be monotone ([Delay]
-   faults enqueue into the future), which rules out a plain FIFO ring
-   but not an argmin tree. *)
-module Pool = struct
-  type 'msg t = {
-    mutable items : 'msg pending array;
-    mutable len : int;
-    mutable base : int;  (* capacity; a power of two (or 0 when empty) *)
-    mutable key : int array;
-    mutable tree : int array;
-  }
-
-  let create () = { items = [||]; len = 0; base = 0; key = [||]; tree = [||] }
-
-  (* Recompute the argmin path from slot [j]'s leaf to the root. *)
-  let update pool j =
-    let v = ref ((pool.base + j) / 2) in
-    while !v >= 1 do
-      let l = pool.tree.(2 * !v) and r = pool.tree.((2 * !v) + 1) in
-      pool.tree.(!v) <- (if pool.key.(l) <= pool.key.(r) then l else r);
-      v := !v / 2
-    done
-
-  let rebuild pool =
-    for j = 0 to pool.base - 1 do
-      pool.tree.(pool.base + j) <- j
-    done;
-    for v = pool.base - 1 downto 1 do
-      let l = pool.tree.(2 * v) and r = pool.tree.((2 * v) + 1) in
-      pool.tree.(v) <- (if pool.key.(l) <= pool.key.(r) then l else r)
-    done
-
-  let grow pool p =
-    let cap = max 16 (2 * pool.base) in
-    let items = Array.make cap p in
-    Array.blit pool.items 0 items 0 pool.len;
-    let key = Array.make cap max_int in
-    Array.blit pool.key 0 key 0 pool.len;
-    pool.items <- items;
-    pool.key <- key;
-    pool.base <- cap;
-    pool.tree <- Array.make (2 * cap) 0;
-    rebuild pool
-
-  let add pool p =
-    if pool.len = pool.base then grow pool p;
-    pool.items.(pool.len) <- p;
-    pool.key.(pool.len) <- p.enqueued_at;
-    update pool pool.len;
-    pool.len <- pool.len + 1
-
-  let take pool i =
-    let p = pool.items.(i) in
-    pool.len <- pool.len - 1;
-    pool.items.(i) <- pool.items.(pool.len);
-    pool.key.(i) <- pool.key.(pool.len);
-    update pool i;
-    pool.key.(pool.len) <- max_int;
-    update pool pool.len;
-    p
-
-  let oldest_slot pool = pool.tree.(1)
-  (* leftmost slot with minimal [enqueued_at]; meaningful when non-empty *)
-
-  let view pool = Array.sub pool.items 0 pool.len
-
-  let is_empty pool = pool.len = 0
-end
-
-let pick_index (type m) ~(scheduler : m scheduler) ~patience ~step ~rng
-    (pool : m Pool.t) =
+let pick_index ~scheduler ~patience ~step ~rng pool =
   (* patience override: the longest-waiting message must go out *)
-  let oldest = Pool.oldest_slot pool in
-  if step - pool.Pool.items.(oldest).enqueued_at >= patience then oldest
+  let oldest = Pending.oldest_slot pool in
+  if step - Pending.key pool oldest >= patience then oldest
   else
+    let len = Pending.length pool in
     match scheduler with
     | Fifo -> oldest
-    | Lifo -> pool.Pool.len - 1
-    | Random_order -> Aat_util.Rng.int rng pool.Pool.len
+    | Lifo -> len - 1
+    | Random_order -> Aat_util.Rng.int rng len
     | Laggards lagging ->
         (* prefer any message not touching the lagging set *)
         let rec find i =
-          if i >= pool.Pool.len then Aat_util.Rng.int rng pool.Pool.len
-          else
-            let l = pool.Pool.items.(i).letter in
-            if List.mem l.Types.src lagging || List.mem l.Types.dst lagging
-            then find (i + 1)
-            else i
+          if i >= len then Aat_util.Rng.int rng len
+          else if
+            List.mem (Pending.src pool i) lagging
+            || List.mem (Pending.dst pool i) lagging
+          then find (i + 1)
+          else i
         in
         find 0
-    | Custom f ->
-        let i = f (Pool.view pool) rng in
-        if i < 0 || i >= pool.Pool.len then 0 else i
 
 module Telemetry = Aat_telemetry.Telemetry
 
@@ -216,7 +131,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
   (* Crashes scheduled at or before event 0 take effect before reactor
      initialization: the party never runs at all. *)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
-  let pool : m Pool.t = Pool.create () in
+  let pool : m Pending.t = Pending.create () in
   let step = ref 0 in
   (* Delivered-letter history, most recent first, one singleton list per
      delivery event — the adversary view's [history] (and, reversed, the
@@ -307,23 +222,22 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
      delayed one is backdated into the future — clamped to the patience
      bound so the scheduler's fairness override still guarantees eventual
      delivery. *)
-  let enqueue (l : m Types.letter) =
-    match Runtime.Mailbox.decide mailbox ~round:!step l with
-    | Runtime.Mailbox.Deliver ->
-        Pool.add pool { letter = l; enqueued_at = !step }
+  let enqueue ~src ~dst body =
+    match Runtime.Mailbox.decide mailbox ~round:!step ~src ~dst with
+    | Runtime.Mailbox.Deliver -> Pending.add pool ~src ~dst ~key:!step body
     | Runtime.Mailbox.Drop -> incr chunk_faults_mark
     | Runtime.Mailbox.Duplicate ->
         incr chunk_faults_mark;
-        Pool.add pool { letter = l; enqueued_at = !step };
-        Pool.add pool { letter = l; enqueued_at = !step }
+        Pending.add pool ~src ~dst ~key:!step body;
+        Pending.add pool ~src ~dst ~key:!step body
     | Runtime.Mailbox.Delay d ->
         incr chunk_faults_mark;
         let d = max 0 (min d (patience - 1)) in
-        Pool.add pool { letter = l; enqueued_at = !step + d }
+        Pending.add pool ~src ~dst ~key:(!step + d) body
   in
-  let post_from src letters =
-    List.iter
-      (fun ((dst, body) : Types.party_id * m) ->
+  let rec post_from src = function
+    | [] -> ()
+    | (dst, body) :: rest ->
         if dst >= 0 && dst < n then begin
           Runtime.Mailbox.note_honest mailbox 1;
           if live then begin
@@ -332,9 +246,9 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
             chunk_honest_bytes :=
               !chunk_honest_bytes + Telemetry.payload_bytes body
           end;
-          enqueue { Types.src; dst; body }
-        end)
-      letters
+          enqueue ~src ~dst body
+        end;
+        post_from src rest
   in
   (* initialize honest reactors *)
   for p = 0 to n - 1 do
@@ -432,10 +346,10 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
               chunk_adversary_bytes :=
                 !chunk_adversary_bytes + Telemetry.payload_bytes l.Types.body
             end;
-            enqueue l)
+            enqueue ~src:l.Types.src ~dst:l.Types.dst l.Types.body)
           injected
       end;
-      if Pool.is_empty pool then
+      if Pending.is_empty pool then
         stall :=
           Some
             (Printf.sprintf
@@ -447,9 +361,12 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
           pick_index ~scheduler:adversary.scheduler ~patience ~step:!step ~rng
             pool
         in
-        let { letter; _ } = Pool.take pool idx in
-        if track_history then history := [ letter ] :: !history;
-        let dst = letter.Types.dst in
+        let src = Pending.src pool idx
+        and dst = Pending.dst pool idx
+        and body = Pending.body pool idx in
+        Pending.remove pool idx;
+        if track_history then
+          history := [ { Types.src; dst; body } ] :: !history;
         (* A decided party keeps reacting: in the asynchronous model "output"
            does not mean "halt" — its echoes may still be needed for other
            parties' liveness (e.g. the READY quorums of reliable broadcast).
@@ -458,15 +375,15 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
           match states.(dst) with
           | None -> ()
           | Some st ->
-              let st, letters =
+              let st', letters =
                 reactor.on_message ~self:dst
-                  {
-                    Types.sender = letter.Types.src;
-                    payload = letter.Types.body;
-                  }
+                  { Types.sender = src; payload = body }
                   st
               in
-              states.(dst) <- Some st;
+              (* reactors that update in place return the same state:
+                 keep its box *)
+              if st' != st then states.(dst) <- Some st';
+              let st = st' in
               (if outputs.(dst) = None then
                  match reactor.output st with
                  | Some o ->

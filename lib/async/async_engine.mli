@@ -29,7 +29,13 @@
     round barrier to rush) and, for a strategy that declares
     [reads_history], [history] = one singleton list per past delivery
     ([[]] otherwise) — so every strategy in [lib/adversary] runs here
-    unchanged, wrapped by {!with_scheduler}. *)
+    unchanged, wrapped by {!with_scheduler}.
+
+    An in-flight letter costs no record: the {!Pending} pool keeps
+    sender, recipient, body and enqueue stamp in flat arrays, and a
+    [Types.letter] is built at delivery only for the two readers of
+    delivered traffic, a strategy that declares [reads_history] and
+    [~record_trace]. *)
 
 open Aat_engine
 
@@ -44,31 +50,43 @@ type ('state, 'msg, 'out) reactor = {
   output : 'state -> 'out option;
 }
 
-type 'msg pending = { letter : 'msg Types.letter; enqueued_at : int }
+val to_all : n:int -> 'msg -> (Types.party_id * 'msg) list ->
+  (Types.party_id * 'msg) list
+(** [to_all ~n m rest] sends [m] to every party [0 .. n - 1], in that
+    order, ahead of [rest]: a reactor's broadcast, with one shared
+    message and no intermediate list. *)
 
-(** Scheduling strategies (all subject to the patience bound). *)
-type 'msg scheduler =
+(** Scheduling strategies, all subject to the patience bound. In-flight
+    letters sit in a {!Pending} pool whose slot order is not send order
+    (a delivery moves the last slot into the freed one), and the
+    strategies pick slots:
+    - [Fifo]: the smallest enqueue stamp (a [Delay] fault pushes a
+      letter's stamp into the future), leftmost slot on ties;
+    - [Lifo]: the last slot;
+    - [Random_order]: a uniformly random slot, drawn from the run's RNG;
+    - [Laggards ps]: starve letters from or to a party in [ps] as long
+      as patience allows — the first slot touching none of them, else a
+      random slot. *)
+type scheduler =
   | Fifo
   | Lifo
   | Random_order
   | Laggards of Types.party_id list
-      (** starve messages from/to the given parties as long as allowed *)
-  | Custom of ('msg pending array -> Aat_util.Rng.t -> int)
 
 type 'msg adversary = {
   core : 'msg Adversary.t;
       (** corruption policy + injector, shared with the synchronous
           engine; injected letters claiming honest senders are dropped
           and counted (authenticated channels) *)
-  scheduler : 'msg scheduler;
+  scheduler : scheduler;
       (** the asynchronous model's extra adversarial power: delivery
           order *)
 }
 
-val passive : ?scheduler:'msg scheduler -> string -> 'msg adversary
+val passive : ?scheduler:scheduler -> string -> 'msg adversary
 (** No corruptions, no injections; [scheduler] defaults to [Fifo]. *)
 
-val with_scheduler : ?scheduler:'msg scheduler -> 'msg Adversary.t -> 'msg adversary
+val with_scheduler : ?scheduler:scheduler -> 'msg Adversary.t -> 'msg adversary
 (** Run any synchronous-world strategy under this engine ([scheduler]
     defaults to [Fifo]) — the adapter behind "every [lib/adversary]
     strategy runs against either engine". *)

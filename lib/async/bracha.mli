@@ -14,10 +14,24 @@
     - {b totality}: if any honest party delivers, every honest party
       eventually delivers (the same value).
 
+    {b Vote counting.} Votes are counted per (sender, value): a repeated
+    ECHO (or READY) of one value from one sender counts once, but a
+    sender that ECHOes [v] and then [v'] in the same instance counts once
+    toward each. Agreement survives this, because what keeps two values
+    apart is not the Byzantine votes but the honest ones: two ECHO
+    quorums of [n - t] share at least [n - 2t > t] parties, so they share
+    an honest party, and an honest party ECHOes only once per instance.
+    So at most one value ever gathers an ECHO quorum. An honest party
+    READYs a value only on an ECHO quorum for it or on [t + 1] READYs
+    for it, one of them honest, so every honest READY names that
+    value.
+
     {!Instances} is the composable multi-instance core used by the AA
     reactors (instances are keyed by [(origin, tag)], where the AA layer
     uses the iteration number as tag); {!reactor} wraps a single instance
-    for direct testing. *)
+    for direct testing. Every message either returns goes to all [n]
+    parties, so both return the one message and leave the fan-out to the
+    caller. *)
 
 open Aat_engine
 
@@ -30,25 +44,27 @@ type 'v msg =
 
 module Instances : sig
   type 'v t
-  (** Mutable bookkeeping for any number of concurrent instances. *)
+  (** Mutable bookkeeping for any number of concurrent instances: an
+      instance table keyed by [(origin, tag)] and, per instance and
+      value, a bitset of the senders that ECHOed it and one of those that
+      READYed it. *)
 
   val create : n:int -> t:int -> 'v t
 
-  val broadcast : 'v t -> self:Types.party_id -> tag:int -> 'v ->
-    (Types.party_id * 'v msg) list
-  (** Start broadcasting one's own value under [(self, tag)]. *)
+  val broadcast : self:Types.party_id -> tag:int -> 'v -> 'v msg
+  (** The INIT that starts broadcasting one's own value under
+      [(self, tag)]; send it to every party, oneself included. *)
 
   val handle :
-    'v t ->
-    self:Types.party_id ->
-    'v msg Types.envelope ->
-    (Types.party_id * 'v msg) list * (key * 'v) list
-  (** Process one message; returns follow-up messages and any newly
-      delivered [(key, value)] pairs (at most one here, but typed as a list
-      for uniformity). Equivocating INITs are ignored after the first;
-      double ECHO/READY per sender per instance are ignored. *)
-
-  val delivered : 'v t -> key -> 'v option
+    'v t -> sender:Types.party_id -> 'v msg -> 'v msg option * (key * 'v) option
+  (** Process one message from [sender]; returns the message to send to
+      every party, if any (this party's ECHO or READY), and the
+      [(key, value)] this message made it deliver, if any. INITs not
+      sent by their origin are ignored, and so are INITs after the first
+      per instance; ECHOs and READYs count once per (sender, value), as
+      described above. Raises [Invalid_argument] on an ECHO or READY
+      from a sender outside [0, n): channels are authenticated, so no
+      such sender exists in a run. *)
 end
 
 type 'v state

@@ -129,8 +129,8 @@ val of_protocol :
     [fault_plan] (default {!Aat_faults.Plan.empty}) must be
     {!Aat_faults.Plan.sync_compatible}. *)
 
-(** Scheduler choice for the asynchronous runners (the [Custom] scheduler
-    is not representable in a declarative campaign spec). *)
+(** Scheduler choice for the asynchronous runners: the engine's
+    schedulers except [Laggards]. *)
 type scheduler = Fifo | Lifo | Random_order
 
 (** The run configuration every runner below takes as [?config]: build a

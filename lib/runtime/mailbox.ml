@@ -60,7 +60,7 @@ let set_fault_filter mb f = mb.fault_filter <- Some f
 
 let set_delivered_tracking mb on = mb.track_delivered <- on
 
-let decide_route mb ~round ~src ~dst =
+let decide mb ~round ~src ~dst =
   match mb.fault_filter with
   | None -> Deliver
   | Some f -> (
@@ -75,9 +75,6 @@ let decide_route mb ~round ~src ~dst =
       | Delay d ->
           mb.fault_delayed <- mb.fault_delayed + 1;
           Delay d)
-
-let decide mb ~round (l : _ Types.letter) =
-  decide_route mb ~round ~src:l.src ~dst:l.dst
 
 let fault_stats mb ~crashed =
   {
@@ -121,7 +118,7 @@ let post_direct mb ~src ~dst body =
      no synchronous reading and deliver normally (the compiler in
      [Aat_faults.Inject] never emits them for the sync engine). *)
   let deliver =
-    match decide_route mb ~round:mb.round ~src ~dst with
+    match decide mb ~round:mb.round ~src ~dst with
     | Drop -> false
     | Deliver | Duplicate | Delay _ -> true
   in

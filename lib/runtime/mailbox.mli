@@ -58,9 +58,12 @@ val set_fault_filter : 'msg t -> fault_filter -> unit
     {!post}; the asynchronous engine consults {!decide} at enqueue
     time. *)
 
-val decide : 'msg t -> round:Types.round -> 'msg Types.letter -> fault_decision
-(** Ask the installed filter (always [Deliver] when none is installed)
-    and bump the matching fault counter. *)
+val decide :
+  'msg t -> round:Types.round -> src:Types.party_id -> dst:Types.party_id ->
+  fault_decision
+(** Ask the installed filter about a letter from [src] to [dst] (always
+    [Deliver] when none is installed) and bump the matching fault
+    counter. *)
 
 val fault_stats : 'msg t -> crashed:int -> Report.fault_stats
 (** Cumulative injected-fault counters, with the engine-supplied crash
