@@ -9,15 +9,17 @@ type t = {
 (* Root the tree at some s0 ∈ S; then v ∈ ⟨S⟩ iff v's subtree contains an
    element of S: such a v lies on P(u, s0) for any S-element u below it, and
    conversely every vertex of a path between S-elements has one of them in
-   its subtree. Subtree counts are accumulated bottom-up over the preorder
-   sequence. *)
+   its subtree. Any s0 will do, so a view rooted in S is used as it is.
+   Subtree counts are accumulated bottom-up over the preorder sequence. *)
 let compute rooted s =
   match s with
   | [] -> invalid_arg "Convex_hull.compute: empty generator set"
   | s0 :: _ ->
       let tree = Rooted.tree rooted in
       let n = LT.n_vertices tree in
-      let anchored = Rooted.make ~root:s0 tree in
+      let anchored =
+        if List.mem (Rooted.root rooted) s then rooted else Rooted.make ~root:s0 tree
+      in
       let count = Array.make n 0 in
       List.iter (fun v -> count.(v) <- count.(v) + 1) s;
       let pre = Rooted.preorder anchored in

@@ -10,7 +10,9 @@ type t
 (** A computed hull: supports O(1) membership and enumeration. *)
 
 val compute : Rooted.t -> Labeled_tree.vertex list -> t
-(** Hull of the given (non-empty) set of vertices. O(n). Raises
+(** Hull of the given (non-empty) set of vertices. O(n); the view is
+    re-rooted at the first vertex of the set unless its root is already in
+    the set. Raises
     [Invalid_argument] on the empty set: the hull of no inputs is not
     defined (an AA execution always has at least one honest party). *)
 

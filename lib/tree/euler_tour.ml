@@ -22,36 +22,36 @@ let compute rooted =
     incr pos
   in
   (* Iterative DFS mirroring Rooted's traversal: record on entry, and record
-     the parent again each time a child's subtree completes. *)
-  let stack = Stack.create () in
+     the parent again each time a child's subtree completes. A vertex's
+     children are its neighbours one level deeper, in label order; [rest.(v)]
+     is the part of [v]'s neighbour list not yet looked at. *)
+  let stack = Array.make n 0 and rest = Array.make n [] and top = ref 0 in
   let push v =
     record v;
-    Stack.push (v, ref (Rooted.children rooted v)) stack
+    stack.(!top) <- v;
+    incr top;
+    rest.(v) <- LT.neighbors tree v
   in
   push (Rooted.root rooted);
-  while not (Stack.is_empty stack) do
-    let _, rest = Stack.top stack in
-    match !rest with
+  while !top > 0 do
+    let v = stack.(!top - 1) in
+    match rest.(v) with
     | [] ->
-        ignore (Stack.pop stack);
-        if not (Stack.is_empty stack) then begin
-          let parent, _ = Stack.top stack in
-          record parent
-        end
-    | child :: tl ->
-        rest := tl;
-        push child
+        decr top;
+        if !top > 0 then record stack.(!top - 1)
+    | u :: tl ->
+        rest.(v) <- tl;
+        if Rooted.depth rooted u > Rooted.depth rooted v then push u
   done;
   assert (!pos = len);
   let first = Array.make n (-1) and last = Array.make n (-1) in
-  let occ_rev = Array.make n [] in
-  Array.iteri
-    (fun i v ->
-      if first.(v) = -1 then first.(v) <- i;
-      last.(v) <- i;
-      occ_rev.(v) <- i :: occ_rev.(v))
-    tour;
-  let occ = Array.map List.rev occ_rev in
+  let occ = Array.make n [] in
+  for i = len - 1 downto 0 do
+    let v = tour.(i) in
+    if last.(v) = -1 then last.(v) <- i;
+    first.(v) <- i;
+    occ.(v) <- i :: occ.(v)
+  done;
   { rooted; tour; depth; first; last; occ }
 
 let tour t = Array.copy t.tour

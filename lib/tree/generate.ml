@@ -1,15 +1,20 @@
 module LT = Labeled_tree
 
+(* "v" and [i] zero-padded to [width] digits, as [Printf "v%0*d"] would. *)
+let label_of_int ~width i =
+  let b = Bytes.make (width + 1) 'v' and d = ref i in
+  for pos = width downto 1 do
+    Bytes.set b pos (Char.chr (48 + (!d mod 10)));
+    d := !d / 10
+  done;
+  Bytes.unsafe_to_string b
+
 let labels_of_size n =
   if n < 1 then invalid_arg "Generate: need at least one vertex";
   let width = max 3 (String.length (string_of_int (n - 1))) in
-  Array.init n (fun i -> Printf.sprintf "v%0*d" width i)
+  Array.init n (label_of_int ~width)
 
-let of_int_edges n edges =
-  let labels = labels_of_size n in
-  if n = 1 then LT.singleton labels.(0)
-  else
-    LT.of_labeled_edges (List.map (fun (u, v) -> (labels.(u), labels.(v))) edges)
+let of_int_edges n edges = LT.of_int_edges ~labels:(labels_of_size n) edges
 
 let path n = of_int_edges n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
 

@@ -12,7 +12,9 @@
     Vertices are exposed as dense integer identifiers in [\[0, n)] assigned
     in label order: vertex [0] always carries the lowest label. This makes
     array-indexed algorithms natural while keeping the labeled-tree
-    semantics of the paper. *)
+    semantics of the paper. The labels are kept as one strictly increasing
+    array, which {!vertex_of_label} binary-searches, and every constructor
+    ends in {!of_int_edges}, the one place a tree is validated. *)
 
 type vertex = int
 (** Vertex identifier, dense in [\[0, n_vertices t)], assigned in increasing
@@ -24,6 +26,14 @@ exception Invalid_tree of string
 (** Raised by constructors on inputs that are not a labeled tree: duplicate
     labels, unknown endpoints, self-loops, parallel edges, cycles, or a
     disconnected edge set. *)
+
+val of_int_edges : labels:string array -> (vertex * vertex) list -> t
+(** [of_int_edges ~labels edges]: vertex [v] carries [labels.(v)] (copied),
+    which must be strictly increasing. The label-keyed constructors sort and
+    resolve labels, then call it; {!Generate} calls it directly. Raises
+    {!Invalid_tree}, checking in this order: no labels; repeated or unsorted
+    labels; [|E| <> |V| - 1]; an endpoint outside [\[0, n)]; a self-loop or a
+    repeated edge (the first such edge in [edges]); a disconnected graph. *)
 
 val of_labeled_edges : ?isolated:string list -> (string * string) list -> t
 (** [of_labeled_edges edges] builds the tree whose vertex set is every label
@@ -45,7 +55,7 @@ val n_vertices : t -> int
 val label : t -> vertex -> string
 
 val vertex_of_label : t -> string -> vertex
-(** Raises [Not_found] if no vertex carries the label. *)
+(** O(log n). Raises [Not_found] if no vertex carries the label. *)
 
 val mem_label : t -> string -> bool
 

@@ -3,14 +3,12 @@ open Aat_realaa
 
 type state = Bdh.state
 
-let tour_of tree = Euler_tour.compute (Rooted.make tree)
-
+(* |L| - 1 = 2·|V(T)| - 2 (Lemma 2): the schedule needs no tour. *)
 let rounds ~tree =
-  let len = Euler_tour.length (tour_of tree) in
-  Rounds.bdh_rounds ~range:(float_of_int (len - 1)) ~eps:1.
+  let range = (2 * Labeled_tree.n_vertices tree) - 2 in
+  Rounds.bdh_rounds ~range:(float_of_int range) ~eps:1.
 
-let protocol ~tree ~inputs ~t =
-  let rooted = Rooted.make tree in
+let protocol ~rooted ~inputs ~t =
   let tour = Euler_tour.compute rooted in
   let len = Euler_tour.length tour in
   let iterations =

@@ -18,9 +18,8 @@ let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
     output = (function Trivial v -> Some v | Running _ -> None);
   }
 
-let phase2 ~tree ~rooted ~inputs ~t ~iterations own_path :
+let phase2 ~rooted ~inputs ~t ~iterations own_path :
     (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t =
-  ignore tree;
   let k = Array.length own_path in
   let real_inputs self =
     float_of_int (Projection.onto_path_index rooted own_path (inputs self))
@@ -47,12 +46,12 @@ let protocol ~tree ~inputs ~t : (state, msg, Labeled_tree.vertex) Protocol.t =
   else begin
     let rooted = Rooted.make tree in
     let iterations2 = Rounds.bdh_iterations ~range:(float_of_int d) ~eps:1. in
-    let first = Paths_finder.protocol ~tree ~inputs ~t in
+    let first = Paths_finder.protocol ~rooted ~inputs ~t in
     let inner =
       Protocol.sequential ~name:"tree-aa" ~first
         ~rounds_of_first:(max 1 (Paths_finder.rounds ~tree))
         ~second:(fun own_path ->
-          phase2 ~tree ~rooted ~inputs ~t ~iterations:iterations2 own_path)
+          phase2 ~rooted ~inputs ~t ~iterations:iterations2 own_path)
     in
     {
       name = "tree-aa";

@@ -90,7 +90,10 @@ let test_paths_finder_identical_inputs () =
   let tree = Generate.balanced ~arity:2 ~depth:3 in
   let target = 11 in
   let inputs = Array.make 7 target in
-  let protocol = Paths_finder.protocol ~tree ~inputs:(fun i -> inputs.(i)) ~t:2 in
+  let rooted = Rooted.make tree in
+  let protocol =
+    Paths_finder.protocol ~rooted ~inputs:(fun i -> inputs.(i)) ~t:2
+  in
   let report =
     Sync_engine.run ~n:7 ~t:2
       ~max_rounds:(max 1 (Paths_finder.rounds ~tree))
@@ -98,7 +101,6 @@ let test_paths_finder_identical_inputs () =
       ~adversary:(Strategies.silent ~victims:[ 5; 6 ])
       ()
   in
-  let rooted = Rooted.make tree in
   let expected = Array.of_list (Rooted.path_to_root rooted target) in
   List.iter
     (fun p -> check "exact path" true (p = expected))

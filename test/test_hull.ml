@@ -233,6 +233,19 @@ let prop_lemma1_random =
       let a = Rng.int rng n and b = Rng.int rng n in
       lemma1_holds t s (Paths.between r a b))
 
+(* compute re-roots the view at a generator unless its root already is
+   one; either way the hull is the same. *)
+let prop_hull_root_independent =
+  QCheck2.Test.make ~name:"hull does not depend on the view's root"
+    ~count:150 tree_and_sets (fun (t, s, rng) ->
+      let hull root =
+        let h = Convex_hull.compute (Rooted.make ~root t) s in
+        (Convex_hull.vertices h, Convex_hull.generators h)
+      in
+      let in_s = List.nth s (Rng.int rng (List.length s)) in
+      let any = Rng.int rng (LT.n_vertices t) in
+      hull in_s = hull any && hull (List.hd s) = hull (LT.root t))
+
 let () =
   Alcotest.run "hull"
     [
@@ -266,5 +279,6 @@ let () =
             prop_hull_connected;
             prop_projection_minimizes_distance;
             prop_lemma1_random;
+            prop_hull_root_independent;
           ] );
     ]
