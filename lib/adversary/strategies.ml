@@ -84,7 +84,9 @@ let puppeteer ~name ~protocol ~victims ~twist =
               letters
             |> List.sort (fun (a : _ Types.envelope) b -> compare a.sender b.sender)
           in
-          Hashtbl.replace tbl v (protocol.Protocol.receive ~round:r ~self:v ~inbox st))
+          Hashtbl.replace tbl v
+            (protocol.Protocol.receive ~round:r ~self:v
+               ~inbox:(Inbox.of_list inbox) st))
         (Hashtbl.copy tbl);
       processed := r
     done;
@@ -101,7 +103,10 @@ let puppeteer ~name ~protocol ~victims ~twist =
         let tbl = catch_up view in
         Hashtbl.fold
           (fun v st acc ->
-            let sends = protocol.Protocol.send ~round:view.round ~self:v st in
+            let sends =
+              Protocol.outbox_to_list ~n:view.n
+                (protocol.Protocol.send ~round:view.round ~self:v st)
+            in
             List.fold_left
               (fun acc (dst, m) ->
                 match twist ~round:view.round ~src:v ~dst m with

@@ -26,15 +26,18 @@ let reactor_of_protocol (type s m o) (protocol : (s, m, o) Protocol.t) :
     let per_dst = Array.make st.n None in
     (match st.proto with
     | None -> ()
-    | Some s ->
-        List.iter
-          (fun ((dst, body) : Types.party_id * m) ->
-            if dst < 0 || dst >= st.n then
-              invalid_arg
-                (Printf.sprintf "%s: p%d sent to invalid party %d"
-                   protocol.Protocol.name self dst)
-            else if per_dst.(dst) = None then per_dst.(dst) <- Some body)
-          (protocol.Protocol.send ~round ~self s));
+    | Some s -> (
+        match protocol.Protocol.send ~round ~self s with
+        | Protocol.To_all body -> Array.fill per_dst 0 st.n (Some body)
+        | Protocol.To letters ->
+            List.iter
+              (fun ((dst, body) : Types.party_id * m) ->
+                if dst < 0 || dst >= st.n then
+                  invalid_arg
+                    (Printf.sprintf "%s: p%d sent to invalid party %d"
+                       protocol.Protocol.name self dst)
+                else if per_dst.(dst) = None then per_dst.(dst) <- Some body)
+              letters));
     List.init st.n (fun dst -> (dst, { round; payload = per_dst.(dst) }))
   in
   let get_slot st r =
@@ -67,7 +70,10 @@ let reactor_of_protocol (type s m o) (protocol : (s, m, o) Protocol.t) :
         done;
         (match st.proto with
         | Some s ->
-            let s' = protocol.Protocol.receive ~round:r ~self ~inbox:!inbox s in
+            let s' =
+              protocol.Protocol.receive ~round:r ~self
+                ~inbox:(Inbox.of_list !inbox) s
+            in
             (match protocol.Protocol.output s' with
             | Some o ->
                 st.decided <- Some (o, r);
@@ -120,13 +126,16 @@ let protocol_of_reactor (type s m o)
       (fun ~self ~n ->
         let rs, outbox = reactor.Async_engine.init ~self ~n in
         { rs; outbox });
-    send = (fun ~round:_ ~self:_ st -> st.outbox);
+    send = (fun ~round:_ ~self:_ st -> Protocol.To st.outbox);
     receive =
       (fun ~round:_ ~self ~inbox st ->
         let rs, outbox =
-          List.fold_left
-            (fun (s, acc) (e : m Types.envelope) ->
-              let s', letters = reactor.Async_engine.on_message ~self e s in
+          Inbox.fold
+            (fun (s, acc) sender payload ->
+              let s', letters =
+                reactor.Async_engine.on_message ~self
+                  { Types.sender; payload } s
+              in
               (s', acc @ letters))
             (st.rs, []) inbox
         in

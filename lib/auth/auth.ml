@@ -83,12 +83,11 @@ module Accountable = struct
             | 2 | 3 -> Forward (everything_seen st)
             | _ -> Forward []
           in
-          List.init st.n (fun p -> (p, body)));
+          Protocol.To_all body);
       receive =
         (fun ~round ~self:_ ~inbox st ->
-          List.iter
-            (fun (e : _ Types.envelope) ->
-              match e.Types.payload with
+          Inbox.iter
+            (fun _ -> function
               | Announce s ->
                   (* a replayed announcement (signer <> channel sender) is
                      still valid evidence — signatures transfer *)

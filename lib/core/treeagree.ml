@@ -11,7 +11,7 @@
       {!Lca}, {!Convex_hull}, {!Projection}, {!Generate}, {!Prufer},
       {!Tree_io}
     - runtime substrate (shared by both engines): {!Types}, {!Mailbox},
-      {!Report}, {!Defaults}, {!Adversary}
+      {!Inbox}, {!Report}, {!Defaults}, {!Adversary}
     - simulation: {!Engine} (synchronous), {!Async_engine} + {!Round_sim}
       (asynchronous), {!Protocol}, {!Verdict}, {!Strategies}, {!Spoiler},
       {!Wedge}, {!Telemetry}
@@ -48,6 +48,7 @@ module Tree_io = Aat_tree.Tree_io
 module Types = Aat_engine.Types
 module Party_set = Aat_runtime.Party_set
 module Mailbox = Aat_runtime.Mailbox
+module Inbox = Aat_engine.Inbox
 module Report = Aat_runtime.Report
 module Defaults = Aat_runtime.Defaults
 module Outcome = Aat_runtime.Outcome

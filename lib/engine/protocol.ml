@@ -1,12 +1,20 @@
+type 'msg outbox = To_all of 'msg | To of (Types.party_id * 'msg) list
+
+let outbox_to_list ~n = function
+  | To_all m -> List.init n (fun dst -> (dst, m))
+  | To l -> l
+
+let map_outbox f = function
+  | To_all m -> To_all (f m)
+  | To l -> To (List.map (fun (dst, m) -> (dst, f m)) l)
+
 type ('state, 'msg, 'out) t = {
   name : string;
   init : self:Types.party_id -> n:int -> 'state;
-  send :
-    round:Types.round -> self:Types.party_id -> 'state ->
-    (Types.party_id * 'msg) list;
+  send : round:Types.round -> self:Types.party_id -> 'state -> 'msg outbox;
   receive :
-    round:Types.round -> self:Types.party_id ->
-    inbox:'msg Types.envelope list -> 'state -> 'state;
+    round:Types.round -> self:Types.party_id -> inbox:'msg Inbox.t ->
+    'state -> 'state;
   output : 'state -> 'out option;
 }
 
@@ -22,29 +30,22 @@ let sequential ~name ~first ~rounds_of_first ~second =
   let init ~self ~n = { n; phase = Phase1 (first.init ~self ~n) } in
   let send ~round ~self state =
     match state.phase with
-    | Phase1 s ->
-        List.map (fun (dst, m) -> (dst, M1 m)) (first.send ~round ~self s)
-    | Bridged _ -> []
+    | Phase1 s -> map_outbox (fun m -> M1 m) (first.send ~round ~self s)
+    | Bridged _ -> To []
     | Phase2 (o1, s2) ->
         let p2 = second o1 in
-        List.map
-          (fun (dst, m) -> (dst, M2 m))
+        map_outbox
+          (fun m -> M2 m)
           (p2.send ~round:(round - rounds_of_first) ~self s2)
   in
-  let filter1 inbox =
-    List.filter_map
-      (fun (e : _ Types.envelope) ->
-        match e.payload with
-        | M1 m -> Some { e with Types.payload = m }
-        | M2 _ -> None)
-      inbox
-  and filter2 inbox =
-    List.filter_map
-      (fun (e : _ Types.envelope) ->
-        match e.payload with
-        | M2 m -> Some { e with Types.payload = m }
-        | M1 _ -> None)
-      inbox
+  (* Each phase reads a view of the inbox holding its own letters,
+     unwrapped: nothing is copied. *)
+  let phase1 inbox =
+    Inbox.make (fun f ->
+        Inbox.iter (fun src -> function M1 m -> f src m | M2 _ -> ()) inbox)
+  and phase2 inbox =
+    Inbox.make (fun f ->
+        Inbox.iter (fun src -> function M2 m -> f src m | M1 _ -> ()) inbox)
   in
   let receive ~round ~self ~inbox state =
     let cross_barrier phase =
@@ -68,7 +69,7 @@ let sequential ~name ~first ~rounds_of_first ~second =
     let phase =
       match state.phase with
       | Phase1 s ->
-          let s' = first.receive ~round ~self ~inbox:(filter1 inbox) s in
+          let s' = first.receive ~round ~self ~inbox:(phase1 inbox) s in
           let next =
             match first.output s' with Some o1 -> Bridged o1 | None -> Phase1 s'
           in
@@ -78,7 +79,7 @@ let sequential ~name ~first ~rounds_of_first ~second =
           let p2 = second o1 in
           let s2' =
             p2.receive ~round:(round - rounds_of_first) ~self
-              ~inbox:(filter2 inbox) s2
+              ~inbox:(phase2 inbox) s2
           in
           Phase2 (o1, s2')
     in

@@ -57,11 +57,14 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
   (* Engine fast path. A passive adversary never corrupts, never sends and
-     never reads its view, so the per-round view materialisation (outbox
-     reversal, corruption-flag copies) is skipped and honest letters
-     stream straight from [send] into the mailbox — the hot path at
-     n ~ 10^4 allocates no per-letter envelopes at all. *)
+     never reads its view, so the per-round view (the outbox as letters,
+     corruption-flag copies) is never built and honest outboxes stream
+     straight from [send] into the mailbox — the hot path at n ~ 10^4
+     allocates nothing per letter at all. *)
   let passive = adversary.Adversary.passive in
+  (* The full path holds each live party's outbox from its send until
+     the adversary has moved and delivery starts. *)
+  let outboxes = if passive then [||] else Array.make n (Protocol.To []) in
   (* The delivered-letter list has two readers: an adversary that declares
      it reads its history, and the recorded trace. Without either the
      mailbox builds no letter per delivery; counters cover the rest. *)
@@ -136,9 +139,38 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       let sent_by = if live then Array.make n 0 else [||] in
       let honest_bytes = ref 0 and adversary_bytes = ref 0 in
       let honest_count = ref 0 and byz_count = ref 0 in
-      let meter (l : m Types.letter) bytes =
-        sent_by.(l.src) <- sent_by.(l.src) + 1;
-        bytes := !bytes + Telemetry.payload_bytes l.body
+      let check_dst p dst =
+        if dst < 0 || dst >= n then
+          invalid_arg
+            (Printf.sprintf "%s: p%d sent to invalid party %d" protocol.name
+               p dst)
+      in
+      (* Posting one honest party's outbox, shared by both send paths: a
+         broadcast is one loop over recipients with one payload, a [To]
+         list is checked and posted in order. The mailbox keeps the first
+         letter per recipient it delivers. *)
+      let post_outbox p = function
+        | Protocol.To_all body ->
+            for dst = 0 to n - 1 do
+              Runtime.Mailbox.post_direct mailbox ~src:p ~dst body
+            done;
+            honest_count := !honest_count + n;
+            if live then begin
+              sent_by.(p) <- sent_by.(p) + n;
+              honest_bytes :=
+                !honest_bytes + (n * Telemetry.payload_bytes body)
+            end
+        | Protocol.To letters ->
+            List.iter
+              (fun (dst, body) ->
+                check_dst p dst;
+                Runtime.Mailbox.post_direct mailbox ~src:p ~dst body;
+                incr honest_count;
+                if live then begin
+                  sent_by.(p) <- sent_by.(p) + 1;
+                  honest_bytes := !honest_bytes + Telemetry.payload_bytes body
+                end)
+              letters
       in
       (* Fault-plan crashes land at the start of the round, before any
          send: a party crashing in round [r] is a corrupted party that is
@@ -155,21 +187,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         Array.iteri
           (fun p slot ->
             match slot with
-            | Live s ->
-                List.iter
-                  (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst);
-                    Runtime.Mailbox.post_direct mailbox ~src:p ~dst body;
-                    incr honest_count;
-                    if live then begin
-                      sent_by.(p) <- sent_by.(p) + 1;
-                      honest_bytes :=
-                        !honest_bytes + Telemetry.payload_bytes body
-                    end)
-                  (protocol.send ~round:r ~self:p s)
+            | Live s -> post_outbox p (protocol.send ~round:r ~self:p s)
             | Done _ | Corrupt -> ())
           slots;
         Runtime.Mailbox.note_honest mailbox !honest_count
@@ -178,73 +196,88 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         (* Full path: a live adversary gets its rushing view, adaptive
            corruptions and screened deliveries. *)
         (* 1. honest outboxes *)
-        let honest_outbox = ref [] in
         Array.iteri
           (fun p slot ->
             match slot with
             | Live s ->
-                List.iter
-                  (fun (dst, body) ->
-                    if dst < 0 || dst >= n then
-                      invalid_arg
-                        (Printf.sprintf "%s: p%d sent to invalid party %d"
-                           protocol.name p dst)
-                    else
-                      honest_outbox :=
-                        { Types.src = p; dst; body } :: !honest_outbox)
-                  (protocol.send ~round:r ~self:p s)
+                let outbox = protocol.send ~round:r ~self:p s in
+                (match outbox with
+                | Protocol.To letters ->
+                    List.iter (fun (dst, _) -> check_dst p dst) letters
+                | Protocol.To_all _ -> ());
+                outboxes.(p) <- outbox
             | Done _ | Corrupt -> ())
           slots;
+        (* The view lists the live parties' outboxes as letters in send
+           order. It is built once, and again only if [corrupt_more]
+           retracts someone's letters. *)
         let view () =
+          let letters = ref [] in
+          for p = n - 1 downto 0 do
+            match (slots.(p), outboxes.(p)) with
+            | Live _, Protocol.To_all body ->
+                for dst = n - 1 downto 0 do
+                  letters := { Types.src = p; dst; body } :: !letters
+                done
+            | Live _, Protocol.To l ->
+                letters :=
+                  List.fold_right
+                    (fun (dst, body) acc -> { Types.src = p; dst; body } :: acc)
+                    l !letters
+            | (Done _ | Corrupt), _ -> ()
+          done;
           {
             Adversary.round = r;
             n;
             t;
             corrupted = Runtime.Corruption.flags corruption;
-            honest_outbox = List.rev !honest_outbox;
+            honest_outbox = !letters;
             history = (if reads_history then !history else []);
             rng;
           }
         in
         (* 2. adaptive corruptions: newly corrupted parties' messages of
-           this round are retracted and their state handed to the
-           adversary (conceptually — we just drop it). *)
-        let extra = adversary.corrupt_more (view ()) in
+           this round are retracted (they are no longer live, so their
+           outboxes are neither listed nor posted) and their state handed
+           to the adversary (conceptually — we just drop it). *)
+        let rushing = view () in
+        let extra = adversary.corrupt_more rushing in
         List.iter
           (fun p ->
             ignore (Runtime.Corruption.corrupt corruption ~at:r p);
-            if p >= 0 && p < n && corrupted p then begin
-              slots.(p) <- Corrupt;
-              honest_outbox :=
-                List.filter
-                  (fun (l : m Types.letter) -> l.src <> p)
-                  !honest_outbox
-            end)
+            if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt)
           extra;
         (* 3. adversary messages, authenticated-channel check *)
         let byz_letters =
           Runtime.Mailbox.screen mailbox ~adversary:adversary.name
             ~corrupted:(Runtime.Corruption.set corruption)
-            (adversary.deliver (view ()))
+            (adversary.deliver (if extra = [] then rushing else view ()))
         in
         (* 4. delivery through the shared mailbox: at most one letter per
            (src, dst) pair. Adversary letters are posted first so that a
            Byzantine double-send to the same recipient resolves to the
            adversary's *last* choice, and an adversary letter from a
-           newly-corrupted party overrides the retracted honest one
-           (already removed above). The installed fault filter (if any) is
-           consulted inside [post]. *)
+           newly-corrupted party overrides the retracted honest one. The
+           honest outboxes follow in send order. The installed fault
+           filter (if any) is consulted inside [post]. *)
         Runtime.Mailbox.begin_round ~round:r mailbox;
         Runtime.Mailbox.post_last_wins mailbox byz_letters;
-        Runtime.Mailbox.post_last_wins mailbox !honest_outbox;
-        honest_count := List.length !honest_outbox;
+        Array.iteri
+          (fun p slot ->
+            match slot with
+            | Live _ -> post_outbox p outboxes.(p)
+            | Done _ | Corrupt -> ())
+          slots;
         byz_count := List.length byz_letters;
         Runtime.Mailbox.note_honest mailbox !honest_count;
         Runtime.Mailbox.note_adversary mailbox !byz_count;
-        if live then begin
-          List.iter (fun l -> meter l honest_bytes) !honest_outbox;
-          List.iter (fun l -> meter l adversary_bytes) byz_letters
-        end
+        if live then
+          List.iter
+            (fun (l : m Types.letter) ->
+              sent_by.(l.src) <- sent_by.(l.src) + 1;
+              adversary_bytes :=
+                !adversary_bytes + Telemetry.payload_bytes l.body)
+            byz_letters
       end;
       if track_delivered then
         history := Runtime.Mailbox.delivered mailbox :: !history;

@@ -46,8 +46,6 @@ module Multi = struct
       finished = None;
     }
 
-  let broadcast st m = List.init st.n (fun p -> (p, m))
-
   (* The plurality of column [leader] of [table]: the most frequent [Some]
      value, ties broken toward the smaller value under polymorphic
      [compare] (a total order) so every honest party resolves them
@@ -107,8 +105,8 @@ module Multi = struct
 
   let send ~round st =
     match round with
-    | 1 -> broadcast st (Value st.own)
-    | 2 -> broadcast st (Echo (Array.copy st.heard))
+    | 1 -> Protocol.To_all (Value st.own)
+    | 2 -> Protocol.To_all (Echo (Array.copy st.heard))
     | 3 ->
         (* Vote for each leader's value that at least n - t parties echoed;
            otherwise abstain on that instance. *)
@@ -123,7 +121,7 @@ module Multi = struct
           if w >= 0 && count.(w) >= st.n - st.t then
             vote.(leader) <- Some (entry st.echoes first.(w) leader)
         done;
-        broadcast st (Vote vote)
+        Protocol.To_all (Vote vote)
     | _ -> invalid_arg "Gradecast.Multi.send: round out of range"
 
   (* State updates are in place: both engines treat protocol state
@@ -138,26 +136,23 @@ module Multi = struct
   let receive ~round ~inbox st =
     match round with
     | 1 ->
-        List.iter
-          (fun (e : _ Types.envelope) ->
-            match e.payload with
-            | Value v -> st.heard.(e.sender) <- Some v
+        Inbox.iter
+          (fun sender -> function
+            | Value v -> st.heard.(sender) <- Some v
             | Echo _ | Vote _ -> ())
           inbox;
         st
     | 2 ->
-        List.iter
-          (fun (e : _ Types.envelope) ->
-            match e.payload with
-            | Echo row when Array.length row = st.n -> st.echoes.(e.sender) <- row
+        Inbox.iter
+          (fun sender -> function
+            | Echo row when Array.length row = st.n -> st.echoes.(sender) <- row
             | Echo _ | Value _ | Vote _ -> ())
           inbox;
         st
     | 3 ->
-        List.iter
-          (fun (e : _ Types.envelope) ->
-            match e.payload with
-            | Vote row when Array.length row = st.n -> st.votes.(e.sender) <- row
+        Inbox.iter
+          (fun sender -> function
+            | Vote row when Array.length row = st.n -> st.votes.(sender) <- row
             | Vote _ | Value _ | Echo _ -> ())
           inbox;
         let first = Array.make st.n 0 and count = Array.make st.n 0 in

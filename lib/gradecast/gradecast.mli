@@ -56,12 +56,11 @@ module Multi : sig
   val start : n:int -> t:int -> self:Types.party_id -> own:'v -> 'v state
   (** Begin an instance batch where this party gradecasts [own]. *)
 
-  val send :
-    round:int -> 'v state -> (Types.party_id * 'v msg) list
-  (** [round] is 1-, 2- or 3- relative to the batch start. *)
+  val send : round:int -> 'v state -> 'v msg Protocol.outbox
+  (** [round] is 1-, 2- or 3- relative to the batch start. Every round is
+      a broadcast: one [To_all] message. *)
 
-  val receive :
-    round:int -> inbox:'v msg Types.envelope list -> 'v state -> 'v state
+  val receive : round:int -> inbox:'v msg Inbox.t -> 'v state -> 'v state
 
   val results : 'v state -> 'v result array
   (** Per-leader outcomes; only meaningful after round 3's [receive].

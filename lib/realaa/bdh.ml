@@ -62,7 +62,7 @@ let init ~knobs ~inputs ~t ~iterations ~self ~n =
 
 let send ~round st =
   match st.decided with
-  | Some _ -> []
+  | Some _ -> Protocol.To []
   | None -> Multi.send ~round:(sub_round round) st.mstate
 
 (* End of one iteration.
@@ -134,13 +134,9 @@ let receive ~round ~inbox st =
   | None ->
       let sub = sub_round round in
       (* "Ignore p̃ in all future iterations": messages from blacklisted
-         parties are dropped before the gradecast logic sees them, which
+         parties are skipped before the gradecast logic sees them, which
          forces grade 0 for their instances at every honest party. *)
-      let inbox =
-        List.filter
-          (fun (e : _ Types.envelope) -> not st.faulty.(e.sender))
-          inbox
-      in
+      let inbox = Inbox.filter (fun sender -> not st.faulty.(sender)) inbox in
       let mstate = Multi.receive ~round:sub ~inbox st.mstate in
       let st = { st with mstate } in
       if sub = 3 then finish_iteration st else st

@@ -48,7 +48,7 @@ let init ~inputs ~t ~eps ~max_iterations ~self ~n =
 
 let send ~round st =
   match st.decided with
-  | Some _ -> []
+  | Some _ -> Protocol.To []
   | None -> Multi.send ~round:(sub_round round) st.mstate
 
 let finish_iteration st =
@@ -108,11 +108,7 @@ let receive ~round ~inbox st =
   match st.decided with
   | Some _ -> st
   | None ->
-      let inbox =
-        List.filter
-          (fun (e : _ Types.envelope) -> not st.faulty.(e.sender))
-          inbox
-      in
+      let inbox = Inbox.filter (fun sender -> not st.faulty.(sender)) inbox in
       let sub = sub_round round in
       let st = { st with mstate = Multi.receive ~round:sub ~inbox st.mstate } in
       if sub = 3 then finish_iteration st else st

@@ -6,7 +6,6 @@ type result = { value : float; trajectory : float list }
 
 type naive_state = {
   t : int;
-  n : int;
   value : float;
   iterations_left : int;
   trajectory_rev : float list;
@@ -28,24 +27,24 @@ let mk_result value trajectory_rev =
   { value; trajectory = List.rev trajectory_rev }
 
 let naive ~inputs ~t ~iterations =
-  let init ~self ~n =
+  let init ~self ~n:_ =
     let value = inputs self in
     let st =
-      { t; n; value; iterations_left = iterations; trajectory_rev = []; decided = None }
+      { t; value; iterations_left = iterations; trajectory_rev = []; decided = None }
     in
     if iterations <= 0 then { st with decided = Some (mk_result value []) } else st
   in
   let send ~round:_ ~self:_ st =
     match st.decided with
-    | Some _ -> []
-    | None -> List.init st.n (fun p -> (p, st.value))
+    | Some _ -> Protocol.To []
+    | None -> Protocol.To_all st.value
   in
   let receive ~round:_ ~self:_ ~inbox st =
     match st.decided with
     | Some _ -> st
     | None ->
         let values =
-          List.map (fun (e : float Types.envelope) -> e.payload) inbox
+          List.rev (Inbox.fold (fun acc _ v -> v :: acc) [] inbox)
         in
         let value =
           match Trim.trimmed_midpoint ~t:st.t values with
@@ -91,7 +90,7 @@ let with_gradecast ~inputs ~t ~iterations =
   in
   let send ~round ~self:_ st =
     match st.gdecided with
-    | Some _ -> []
+    | Some _ -> Protocol.To []
     | None -> Multi.send ~round:(sub_round round) st.mstate
   in
   let finish st =

@@ -12,9 +12,10 @@ type fault_filter =
    bitmatrix (one bit per (src, dst) pair, recipient-major so a
    recipient's inbox is one contiguous bit row) plus one lazily-allocated
    payload row per recipient, indexed by sender. [post] is a couple of
-   array writes; [inbox] walks the recipient's bit row ascending, so the
-   sorted-by-sender contract costs no sort at all. Rows keep their
-   capacity across rounds — [begin_round] only clears the bitmatrix. *)
+   array writes; an [inbox] view walks the recipient's bit row ascending
+   when read, so the sorted-by-sender contract costs no sort and no copy.
+   Rows keep their capacity across rounds — [begin_round] only clears the
+   bitmatrix and bumps [epoch], which is how a view knows it is stale. *)
 type 'msg t = {
   n : int;
   stride : int; (* bytes per recipient row in [seen] *)
@@ -29,6 +30,7 @@ type 'msg t = {
   mutable scratch : 'msg Types.letter array; (* [post_last_wins] staging *)
   mutable fault_filter : fault_filter option;
   mutable round : Types.round;
+  mutable epoch : int; (* [begin_round] calls so far *)
   mutable fault_dropped : int;
   mutable fault_duplicated : int;
   mutable fault_delayed : int;
@@ -51,6 +53,7 @@ let create ~n =
     scratch = [||];
     fault_filter = None;
     round = 0;
+    epoch = 0;
     fault_dropped = 0;
     fault_duplicated = 0;
     fault_delayed = 0;
@@ -103,6 +106,7 @@ let note_adversary mb k = mb.adversary_messages <- mb.adversary_messages + k
 
 let begin_round ?round mb =
   (match round with Some r -> mb.round <- r | None -> mb.round <- mb.round + 1);
+  mb.epoch <- mb.epoch + 1;
   Bytes.fill mb.seen 0 (Bytes.length mb.seen) '\000';
   mb.delivered_rev <- [];
   mb.delivered_count <- 0
@@ -166,29 +170,32 @@ let post_last_wins mb letters =
       done
 
 let inbox mb p =
-  if p < 0 || p >= mb.n then []
+  if p < 0 || p >= mb.n then Inbox.empty
   else
-    match mb.rows.(p) with
-    | None -> []
-    | Some row ->
-        (* Walk the recipient's seen-bit row descending and cons: the
-           result comes out sorted by sender ascending with no sort.
-           O(n/8) byte scans plus one envelope per delivered letter. *)
-        let base = p * mb.stride in
-        let acc = ref [] in
-        for byte = mb.stride - 1 downto 0 do
-          let c = Char.code (Bytes.unsafe_get mb.seen (base + byte)) in
-          if c <> 0 then
-            for bit = 7 downto 0 do
-              if c land (1 lsl bit) <> 0 then begin
-                let src = (byte lsl 3) lor bit in
-                acc :=
-                  { Types.sender = src; payload = Array.unsafe_get row src }
-                  :: !acc
-              end
-            done
-        done;
-        !acc
+    let epoch = mb.epoch and round = mb.round in
+    Inbox.make (fun f ->
+        if mb.epoch <> epoch then
+          invalid_arg
+            (Printf.sprintf
+               "Mailbox.inbox: p%d's round-%d inbox read in round %d (an \
+                inbox is valid only during its round)"
+               p round mb.round);
+        match mb.rows.(p) with
+        | None -> ()
+        | Some row ->
+            (* Walk the recipient's seen-bit row ascending: senders come
+               out sorted, O(n/8) byte scans plus one call per letter. *)
+            let base = p * mb.stride in
+            for byte = 0 to mb.stride - 1 do
+              let c = Char.code (Bytes.unsafe_get mb.seen (base + byte)) in
+              if c <> 0 then
+                for bit = 0 to 7 do
+                  if c land (1 lsl bit) <> 0 then begin
+                    let src = (byte lsl 3) lor bit in
+                    f src (Array.unsafe_get row src)
+                  end
+                done
+            done)
 
 let delivered mb = mb.delivered_rev
 

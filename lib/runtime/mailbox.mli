@@ -22,8 +22,8 @@
     Internally the per-round state is flat: an n×n seen bitmatrix plus
     one payload row per recipient, both preallocated and reused across
     rounds, so a round of all-pairs traffic costs O(1) per letter and no
-    per-read sorting — [inbox] walks the recipient's bit row, which is
-    sorted by construction. *)
+    per-read sorting or copying — an [inbox] view walks the recipient's
+    bit row, which is sorted by construction. *)
 
 type 'msg t
 
@@ -116,9 +116,9 @@ val post : 'msg t -> 'msg Types.letter -> unit
 
 val post_direct :
   'msg t -> src:Types.party_id -> dst:Types.party_id -> 'msg -> unit
-(** Exactly {!post} without the letter record: the engines' streaming hot
-    path posts components straight from the protocol's send list, and a
-    letter value is only materialized if delivered-letter tracking is on. *)
+(** Exactly {!post} without the letter record: the synchronous engine
+    posts honest outboxes component by component, and a letter value is
+    only materialized if delivered-letter tracking is on. *)
 
 val post_last_wins : 'msg t -> 'msg Types.letter list -> unit
 (** Post a submission batch so that the {e last} submitted letter per pair
@@ -126,10 +126,12 @@ val post_last_wins : 'msg t -> 'msg Types.letter list -> unit
     where a Byzantine double-send resolves to the adversary's final
     choice. *)
 
-val inbox : 'msg t -> Types.party_id -> 'msg Types.envelope list
-(** The recipient's inbox for this round, sorted by sender ascending
-    (senders are unique after dedup, so this order is total). Built fresh
-    per call in O(n/8 + k) by walking the seen bitmatrix — never sorted.
+val inbox : 'msg t -> Types.party_id -> 'msg Inbox.t
+(** The recipient's inbox for this round, read in ascending sender order
+    (senders are unique after dedup, so this order is total). A view, not
+    a copy: each read walks the recipient's seen-bit row and payload row
+    in O(n/8 + k) and allocates nothing per letter. It is valid until the
+    next {!begin_round}; reading it after that raises [Invalid_argument].
     Out-of-range recipients have empty inboxes. *)
 
 val delivered : 'msg t -> 'msg Types.letter list

@@ -146,7 +146,7 @@ let protocol ~tree ~inputs ~t ~iterations =
     send =
       (fun ~round ~self:_ st ->
         match st.decided with
-        | Some _ -> []
+        | Some _ -> Protocol.To []
         | None -> Multi.send ~round:(sub_round round) st.mstate);
     receive =
       (fun ~round ~self:_ ~inbox st ->

@@ -13,7 +13,7 @@ let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
   {
     name = "tree-aa";
     init = (fun ~self ~n:_ -> Trivial (inputs self));
-    send = (fun ~round:_ ~self:_ _ -> []);
+    send = (fun ~round:_ ~self:_ _ -> To []);
     receive = (fun ~round:_ ~self:_ ~inbox:_ st -> st);
     output = (function Trivial v -> Some v | Running _ -> None);
   }
@@ -59,7 +59,7 @@ let protocol ~tree ~inputs ~t : (state, msg, Labeled_tree.vertex) Protocol.t =
       send =
         (fun ~round ~self -> function
           | Running st -> inner.send ~round ~self st
-          | Trivial _ -> []);
+          | Trivial _ -> To []);
       receive =
         (fun ~round ~self ~inbox -> function
           | Running st -> Running (inner.receive ~round ~self ~inbox st)

@@ -25,9 +25,10 @@ let gather : (gather_state, int, int list) Protocol.t =
     init = (fun ~self ~n -> { self; n; heard = None });
     send =
       (fun ~round ~self st ->
-        if round = 1 then List.init st.n (fun p -> (p, self)) else []);
+        Protocol.To (if round = 1 then List.init st.n (fun p -> (p, self)) else []));
     receive =
       (fun ~round:_ ~self:_ ~inbox st ->
+        let inbox = Inbox.to_list inbox in
         { st with heard = Some (List.map (fun (e : int Types.envelope) -> e.payload) inbox) });
     output = (fun st -> st.heard);
   }
@@ -82,7 +83,7 @@ let counter : (int, int, int) Protocol.t =
   {
     name = "counter";
     init = (fun ~self:_ ~n:_ -> 0);
-    send = (fun ~round:_ ~self st -> [ (self, st) ]);
+    send = (fun ~round:_ ~self st -> Protocol.To [ (self, st) ]);
     receive = (fun ~round:_ ~self:_ ~inbox:_ st -> st + 1);
     output = (fun st -> if st >= 4 then Some st else None);
   }

@@ -348,17 +348,18 @@ let round3_matches_reference (p : 'v payload) { n; t; echoes; votes } =
   let echoes = build p echoes and votes = build p votes in
   let dense rows = Array.map (function Some r -> r | None -> Array.make n None) rows in
   let inbox wrap rows =
-    List.concat
-      (List.mapi
-         (fun sender -> function
-           | Some row -> [ { Types.sender; payload = wrap row } ]
-           | None -> [])
-         (Array.to_list rows))
+    Inbox.of_list
+      (List.concat
+         (List.mapi
+            (fun sender -> function
+              | Some row -> [ { Types.sender; payload = wrap row } ]
+              | None -> [])
+            (Array.to_list rows)))
   in
   let st = Multi.start ~n ~t ~self:0 ~own:(Option.get p.values.(0)) in
   let st = Multi.receive ~round:2 ~inbox:(inbox (fun r -> Multi.Echo r) echoes) st in
   let vote =
-    match Multi.send ~round:3 st with
+    match Protocol.outbox_to_list ~n (Multi.send ~round:3 st) with
     | (_, Multi.Vote v) :: _ -> v
     | _ -> Alcotest.fail "round 3 sent no vote"
   in
@@ -391,11 +392,13 @@ let test_round3_allocation () =
   let n = 64 and t = 21 in
   let deliver sent =
     (* sent.(s) is party s's outbox; inbox.(p) what p receives *)
+    let sent = Array.map (Protocol.outbox_to_list ~n) sent in
     Array.init n (fun p ->
-        List.concat
-          (List.mapi
-             (fun sender out -> [ { Types.sender; payload = List.assoc p out } ])
-             (Array.to_list sent)))
+        Inbox.of_list
+          (List.concat
+             (List.mapi
+                (fun sender out -> [ { Types.sender; payload = List.assoc p out } ])
+                (Array.to_list sent))))
   in
   let states =
     Array.init n (fun self -> Multi.start ~n ~t ~self ~own:(float_of_int self))

@@ -127,7 +127,7 @@ let test_runtime_entry_points () =
     "mailbox dedups per pair" [ (0, "hi") ]
     (List.map
        (fun (e : string Types.envelope) -> (e.Types.sender, e.Types.payload))
-       (Mailbox.inbox mb 1));
+       (Inbox.to_list (Mailbox.inbox mb 1)));
   (* both engines return the one report type: a sync report is readable
      through [Report], and a sync protocol runs under the async engine via
      [Round_sim] with identical honest outputs *)

@@ -22,9 +22,10 @@ let gather_protocol : (int * int list option, int, int list) Protocol.t =
     init = (fun ~self:_ ~n -> (n, None));
     send =
       (fun ~round ~self (n, _) ->
-        if round = 1 then List.init n (fun p -> (p, self)) else []);
+        Protocol.To (if round = 1 then List.init n (fun p -> (p, self)) else []));
     receive =
       (fun ~round ~self:_ ~inbox (n, got) ->
+        let inbox = Runtime.Inbox.to_list inbox in
         if round = 1 then
           ( n,
             Some
@@ -56,7 +57,7 @@ let never_protocol : (unit, int, unit) Protocol.t =
   {
     Protocol.name = "never";
     init = (fun ~self:_ ~n:_ -> ());
-    send = (fun ~round:_ ~self:_ () -> []);
+    send = (fun ~round:_ ~self:_ () -> Protocol.To []);
     receive = (fun ~round:_ ~self:_ ~inbox:_ () -> ());
     output = (fun () -> None);
   }
@@ -116,11 +117,12 @@ let test_mailbox_dedup_and_inbox_order () =
     [ (1, 10); (2, 20) ]
     (List.map
        (fun (e : int Types.envelope) -> (e.sender, e.payload))
-       (Runtime.Mailbox.inbox mb 0));
+       (Runtime.Inbox.to_list (Runtime.Mailbox.inbox mb 0)));
   check_int "delivered this round" 3
     (List.length (Runtime.Mailbox.delivered mb));
   Runtime.Mailbox.begin_round mb;
-  check_int "round state reset" 0 (List.length (Runtime.Mailbox.inbox mb 0));
+  check_int "round state reset" 0
+    (List.length (Runtime.Inbox.to_list (Runtime.Mailbox.inbox mb 0)));
   (* last-submitted-wins posting: the adversary's final double-send
      choice is the one delivered *)
   Runtime.Mailbox.post_last_wins mb [ letter 2 0 1; letter 2 0 2 ];
@@ -128,7 +130,7 @@ let test_mailbox_dedup_and_inbox_order () =
     "last wins" [ (2, 2) ]
     (List.map
        (fun (e : int Types.envelope) -> (e.sender, e.payload))
-       (Runtime.Mailbox.inbox mb 0))
+       (Runtime.Inbox.to_list (Runtime.Mailbox.inbox mb 0)))
 
 let test_mailbox_screen () =
   let mb : int Runtime.Mailbox.t = Runtime.Mailbox.create ~n:4 in

@@ -423,6 +423,35 @@ let test_setup_allocation () =
           per_vertex)
     trees
 
+(* --- per-letter cost of the rounds --- *)
+
+(* Minor words per letter of a whole tree-aa run, n = 13 and t = 4 on
+   star:9. Each letter is built once on its way: a broadcast is one
+   [To_all] box, every layer reads its inbox in place through a view,
+   and the full send path builds the adversary's outbox once a round.
+   That costs about 28 words per letter passive and 34 under the
+   random-silent adversary; copying each outbox and inbox into lists at
+   every layer cost 57 and 64. *)
+let test_round_allocation () =
+  let tree = Generate.star 9 in
+  let inputs = Array.init 13 (fun i -> i mod 9) in
+  List.iter
+    (fun (name, adversary) ->
+      let before = Gc.minor_words () in
+      let report = Tree_aa.run ~seed:1 ~tree ~inputs ~t:4 ~adversary () in
+      let words = Gc.minor_words () -. before in
+      let letters =
+        report.Sync_engine.honest_messages + report.Sync_engine.adversary_messages
+      in
+      let per_letter = words /. float_of_int letters in
+      if per_letter > 40. then
+        Alcotest.failf "%s: %.1f minor words per letter (bound 40)" name
+          per_letter)
+    [
+      ("passive", Adversary.passive "none");
+      ("random-silent", Strategies.random_silent ~count:4);
+    ]
+
 (* --- randomized end-to-end property --- *)
 
 let prop_tree_aa_random =
@@ -506,6 +535,8 @@ let () =
           Alcotest.test_case
             "a cell's tree setup allocates <= 200 minor words per vertex"
             `Quick test_setup_allocation;
+          Alcotest.test_case "a tree-aa run allocates <= 40 minor words per letter"
+            `Quick test_round_allocation;
         ] );
       ( "nr-baseline",
         [
