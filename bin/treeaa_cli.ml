@@ -985,24 +985,28 @@ let bounds_cmd =
     Arg.(value & opt float 1e6 & info [ "d" ] ~docv:"D" ~doc:"Input diameter.")
   in
   let action n t d =
-    Printf.printf "n=%d t=%d D=%g\n" n t d;
-    Printf.printf "RealAA schedule (rounds):     %d\n" (Rounds.bdh_rounds ~range:d ~eps:1.);
-    Printf.printf "Theorem 3 closed-form bound:  %d\n"
-      (Rounds.paper_round_bound ~range:d ~eps:1.);
-    Printf.printf "halving baseline iterations:  %d\n"
-      (Rounds.halving_iterations ~range:d ~eps:1.);
-    Printf.printf "Fekete lower bound (rounds):  %d\n"
-      (Fekete.min_rounds ~n ~t ~d ~eps:1.);
-    Printf.printf "Theorem 2 closed form:        %.2f\n"
-      (Fekete.theorem2_closed_form ~n ~t ~d);
-    let r = max 1 (Fekete.min_rounds ~n ~t ~d ~eps:1.) in
-    Printf.printf "optimal adversary split t_i:  [%s]\n"
-      (String.concat "; " (List.map string_of_int (Fekete.optimal_partition ~t ~r)));
-    Printf.printf "log2 of Fekete chain length:  %.2f\n" (Fekete.chain_length ~n ~t ~r)
+    match Rounds.bdh_rounds ~range:d ~eps:1. with
+    | exception Invalid_argument m -> Error (Printf.sprintf "bad -d %g: %s" d m)
+    | schedule ->
+        Printf.printf "n=%d t=%d D=%g\n" n t d;
+        Printf.printf "RealAA schedule (rounds):     %d\n" schedule;
+        Printf.printf "Theorem 3 closed-form bound:  %d\n"
+          (Rounds.paper_round_bound ~range:d ~eps:1.);
+        Printf.printf "halving baseline iterations:  %d\n"
+          (Rounds.halving_iterations ~range:d ~eps:1.);
+        Printf.printf "Fekete lower bound (rounds):  %d\n"
+          (Fekete.min_rounds ~n ~t ~d ~eps:1.);
+        Printf.printf "Theorem 2 closed form:        %.2f\n"
+          (Fekete.theorem2_closed_form ~n ~t ~d);
+        let r = max 1 (Fekete.min_rounds ~n ~t ~d ~eps:1.) in
+        Printf.printf "optimal adversary split t_i:  [%s]\n"
+          (String.concat "; " (List.map string_of_int (Fekete.optimal_partition ~t ~r)));
+        Printf.printf "log2 of Fekete chain length:  %.2f\n" (Fekete.chain_length ~n ~t ~r);
+        Ok ()
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print round-complexity upper and lower bounds")
-    Term.(const action $ n_term $ t_term $ d_term)
+    Term.(term_result' (const action $ n_term $ t_term $ d_term))
 
 (* ---------- chain ---------- *)
 

@@ -1,5 +1,9 @@
+(* A NaN ratio would keep [bdh_iterations] searching forever: no [r^r]
+   is [>=] NaN. *)
 let check_args ~range ~eps =
+  if not (Float.is_finite eps) then invalid_arg "Rounds: eps must be finite";
   if eps <= 0. then invalid_arg "Rounds: eps must be positive";
+  if not (Float.is_finite range) then invalid_arg "Rounds: range must be finite";
   if range < 0. then invalid_arg "Rounds: negative range"
 
 let bdh_iterations ~range ~eps =
@@ -29,12 +33,3 @@ let halving_iterations ~range ~eps =
   check_args ~range ~eps;
   let delta = range /. eps in
   if delta <= 1. then 0 else int_of_float (Float.ceil (Float.log2 delta))
-
-let paths_finder_rounds ~n_vertices =
-  if n_vertices < 1 then invalid_arg "Rounds.paths_finder_rounds";
-  bdh_rounds ~range:(2. *. float_of_int n_vertices) ~eps:1.
-
-let tree_aa_rounds ~n_vertices ~diameter =
-  if diameter < 0 then invalid_arg "Rounds.tree_aa_rounds";
-  paths_finder_rounds ~n_vertices
-  + bdh_rounds ~range:(float_of_int diameter) ~eps:1.

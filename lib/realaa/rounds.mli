@@ -2,7 +2,9 @@
 
     These are the closed forms the experiments compare measured executions
     against. Throughout, [delta = range /. eps] is the ratio between the
-    public bound on the honest input spread and the target agreement. *)
+    public bound on the honest input spread and the target agreement.
+    Every function raises [Invalid_argument] unless [range] is finite and
+    [>= 0] and [eps] is finite and [> 0]. *)
 
 val bdh_iterations : range:float -> eps:float -> int
 (** Smallest [R >= 0] with [R^R >= range/eps] — enough iterations for
@@ -24,10 +26,3 @@ val paper_round_bound : range:float -> eps:float -> int
 val halving_iterations : range:float -> eps:float -> int
 (** [⌈log2 delta⌉] — iterations of the classic midpoint outline whose
     per-iteration convergence factor is 1/2 ([12, 33]). *)
-
-val paths_finder_rounds : n_vertices:int -> int
-(** [R_PathsFinder = R_RealAA(2·|V(T)|, 1)] (Lemma 4). *)
-
-val tree_aa_rounds : n_vertices:int -> diameter:int -> int
-(** Total fixed schedule of TreeAA: [R_PathsFinder + R_RealAA(D(T), 1)]
-    (proof of Theorem 4). *)

@@ -297,7 +297,36 @@ let test_validate () =
             base with
             protocol = Campaign.Spec.Path_aa;
             inputs = Campaign.Spec.Random_vertices;
-          }))
+          }));
+  (* A NaN or infinite range or eps used to pass and then hang
+     instantiation in [Rounds.bdh_iterations]. *)
+  List.iter
+    (fun (name, spec) -> check name false (ok (Campaign.Spec.validate spec)))
+    [
+      ("nan eps", { base with protocol = Campaign.Spec.Real_aa { eps = Float.nan } });
+      ( "infinite eps",
+        { base with protocol = Campaign.Spec.Iterated_midpoint { eps = Float.infinity } } );
+      ("nan linspace", { base with inputs = Campaign.Spec.Linspace_reals Float.nan });
+      ( "infinite linspace",
+        { base with inputs = Campaign.Spec.Linspace_reals Float.infinity } );
+      ( "nan loguniform",
+        {
+          base with
+          inputs = Campaign.Spec.Log_uniform_reals { log10_min = Float.nan; log10_max = 3. };
+        } );
+      ( "-inf loguniform",
+        {
+          base with
+          inputs =
+            Campaign.Spec.Log_uniform_reals
+              { log10_min = Float.neg_infinity; log10_max = 3. };
+        } );
+      ( "loguniform past max_float",
+        {
+          base with
+          inputs = Campaign.Spec.Log_uniform_reals { log10_min = 0.; log10_max = 400. };
+        } );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* failure containment: one bad cell must not take down the grid *)
