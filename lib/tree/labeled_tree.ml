@@ -1,6 +1,6 @@
 type vertex = int
 
-type t = { labels : string array; adj : vertex list array }
+type t = { labels : string array; adj : vertex list array; diameter : int }
 
 exception Invalid_tree of string
 
@@ -33,6 +33,8 @@ let degree t v = List.length t.adj.(v)
 let is_leaf t v = degree t v <= 1
 
 let root _ = 0
+
+let diameter t = t.diameter
 
 let vertices t = List.init (n_vertices t) Fun.id
 
@@ -98,23 +100,35 @@ let of_int_edges ~labels edges =
     push v unsorted.(v)
   done;
   if !bad then reject_bad_edge labels edges;
-  (* BFS from vertex 0. With n - 1 edges and no loops or repeats,
-     connected means acyclic. *)
-  let queue = Array.make n 0 and seen = Array.make n false and reached = ref 1 in
-  let rec visit = function
+  (* BFS from vertex 0, recording each vertex's parent (-1 while unseen).
+     With n - 1 edges and no loops or repeats, connected means acyclic. *)
+  let queue = Array.make n 0 and parent = Array.make n (-1) and reached = ref 1 in
+  let rec visit u = function
     | [] -> ()
     | v :: rest ->
-        if not seen.(v) then (seen.(v) <- true; queue.(!reached) <- v; incr reached);
-        visit rest
+        if parent.(v) < 0 then (parent.(v) <- u; queue.(!reached) <- v; incr reached);
+        visit u rest
   in
-  seen.(0) <- true;
+  parent.(0) <- 0;
   let head = ref 0 in
   while !head < !reached do
-    visit adj.(queue.(!head));
+    let u = queue.(!head) in
+    visit u adj.(u);
     incr head
   done;
   if !reached <> n then invalid "graph is disconnected (%d of %d reachable)" !reached n;
-  { labels = Array.copy labels; adj }
+  (* The diameter, from subtree heights in reverse BFS order: a vertex's
+     children all come after it, so its height is final when it is
+     reached, and the longest path through its parent joins it to the
+     tallest child merged there before it. *)
+  let height = Array.make n 0 and diameter = ref 0 in
+  for i = n - 1 downto 1 do
+    let v = queue.(i) in
+    let p = parent.(v) and h = height.(v) + 1 in
+    diameter := max !diameter (height.(p) + h);
+    if h > height.(p) then height.(p) <- h
+  done;
+  { labels = Array.copy labels; adj; diameter = !diameter }
 
 let of_labeled_edges ?(isolated = []) edges =
   let labels =

@@ -69,6 +69,11 @@ val is_leaf : t -> vertex -> bool
 val edges : t -> (vertex * vertex) list
 (** Each edge once, as [(u, v)] with [u < v], sorted. *)
 
+val diameter : t -> int
+(** [D(T)], the number of edges on a longest path; 0 for the single
+    vertex. Computed once, by {!of_int_edges}, so reading it is free and
+    equal trees stay [=]. *)
+
 val root : t -> vertex
 (** The vertex with the lexicographically lowest label — the protocol root
     fixed by TreeAA (always vertex [0]). *)

@@ -13,10 +13,7 @@ let diameter_endpoints t =
   let b, _ = farthest t a in
   if a <= b then (a, b) else (b, a)
 
-let diameter t =
-  let a, _ = farthest t (LT.root t) in
-  let _, d = farthest t a in
-  d
+let diameter = LT.diameter
 
 let longest_path t =
   let a, b = diameter_endpoints t in

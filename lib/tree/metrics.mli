@@ -2,11 +2,12 @@
 
     The diameter [D(T)] — the length (in edges) of the longest path — is the
     quantity the paper's round bounds are stated in. All functions are
-    linear-time BFS-based except {!all_eccentricities} which is O(n^2) and
-    intended for tests. *)
+    linear-time BFS-based except {!diameter}, which reads the tree, and
+    {!all_eccentricities}, which is O(n^2) and intended for tests. *)
 
 val diameter : Labeled_tree.t -> int
-(** [D(T)]: two-phase BFS. 0 for the single vertex. *)
+(** [D(T)] = {!Labeled_tree.diameter}, computed once per tree when it is
+    built. 0 for the single vertex. *)
 
 val diameter_endpoints :
   Labeled_tree.t -> Labeled_tree.vertex * Labeled_tree.vertex

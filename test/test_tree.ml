@@ -341,6 +341,60 @@ let test_generated_corpus () =
   Alcotest.(check string) "corpus md5" "018a6726cdcca442d84c77a456957505"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* --- the once-computed diameter --- *)
+
+(* The two-BFS diameter each caller ran before trees computed theirs at
+   construction, kept verbatim as the oracle. *)
+module Two_bfs = struct
+  let farthest t src =
+    let dist = Paths.bfs_distances t src in
+    let best = ref src in
+    Array.iteri (fun v d -> if d > dist.(!best) then best := v) dist;
+    (!best, dist.(!best))
+
+  let diameter t =
+    let a, _ = farthest t (LT.root t) in
+    let _, d = farthest t a in
+    d
+end
+
+(* A random recursive tree under shuffled labels, so vertex ids (label
+   order) and construction order differ. *)
+let random_parents rng n =
+  let labels = Array.init n (Printf.sprintf "x%03d") in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let l = labels.(i) in
+    labels.(i) <- labels.(j);
+    labels.(j) <- l
+  done;
+  LT.of_parents ~labels (Array.init n (fun i -> if i = 0 then -1 else Rng.int rng i))
+
+let test_diameter_matches_two_bfs () =
+  List.iter
+    (fun (name, generate) ->
+      let tree = generate () in
+      check_int name (Two_bfs.diameter tree) (Metrics.diameter tree))
+    (corpus ());
+  let rng = Rng.create 21 in
+  for _ = 1 to 3000 do
+    let n = 1 + Rng.int rng 80 in
+    let tree =
+      if Rng.bool rng then random_parents rng n else Generate.random rng n
+    in
+    check_int (Format.asprintf "%a" LT.pp tree) (Two_bfs.diameter tree)
+      (Metrics.diameter tree)
+  done
+
+(* Two builds of one tree, one of which has been asked its diameter. *)
+let test_equal_after_diameter () =
+  let edges = [ ("c", "a"); ("a", "b"); ("b", "d"); ("e", "b") ] in
+  let a = LT.of_labeled_edges edges and b = LT.of_labeled_edges (List.rev edges) in
+  check_int "diameter" 3 (Metrics.diameter a);
+  check "LT.equal" true (LT.equal a b);
+  check "=" true (a = b);
+  check "compare" true (compare a b = 0)
+
 (* --- qcheck properties --- *)
 
 let tree_gen_of_size size =
@@ -548,6 +602,10 @@ let () =
           Alcotest.test_case "diameter singleton" `Quick
             test_diameter_singleton;
           Alcotest.test_case "diameter fig3" `Quick test_diameter_fig3;
+          Alcotest.test_case "diameter = two-BFS oracle" `Quick
+            test_diameter_matches_two_bfs;
+          Alcotest.test_case "equal trees stay = after diameter" `Quick
+            test_equal_after_diameter;
           Alcotest.test_case "longest path" `Quick test_longest_path;
           Alcotest.test_case "center path even" `Quick test_center_path_even;
           Alcotest.test_case "center path odd" `Quick test_center_path_odd;
