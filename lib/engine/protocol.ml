@@ -20,10 +20,8 @@ type ('state, 'msg, 'out) t = {
 
 let map_output f p = { p with output = (fun s -> Option.map f (p.output s)) }
 
-(* The composed state keeps the phase-one output [o1] inside [Phase2] so
-   that the phase-two protocol — a pure, cheap record of functions — can be
-   re-derived by [second o1] at every step instead of being stored (storing
-   it would leak its type parameters into the state type). *)
+(* Each party derives its phase-two protocol once, at the barrier, and
+   keeps it in [Phase2] with its state. *)
 let sequential ~name ~first ~rounds_of_first ~second =
   if rounds_of_first < 1 then invalid_arg "Protocol.sequential: rounds_of_first < 1";
   let open Composed in
@@ -32,8 +30,7 @@ let sequential ~name ~first ~rounds_of_first ~second =
     match state.phase with
     | Phase1 s -> map_outbox (fun m -> M1 m) (first.send ~round ~self s)
     | Bridged _ -> To []
-    | Phase2 (o1, s2) ->
-        let p2 = second o1 in
+    | Phase2 (p2, s2) ->
         map_outbox
           (fun m -> M2 m)
           (p2.send ~round:(round - rounds_of_first) ~self s2)
@@ -58,7 +55,7 @@ let sequential ~name ~first ~rounds_of_first ~second =
         | Bridged o1 ->
             Aat_telemetry.Telemetry.Probe.mark "phase2-entered";
             let p2 = second o1 in
-            Phase2 (o1, p2.init ~self ~n:state.n)
+            Phase2 (p2, p2.init ~self ~n:state.n)
         | Phase1 _ ->
             failwith
               (Printf.sprintf
@@ -75,19 +72,18 @@ let sequential ~name ~first ~rounds_of_first ~second =
           in
           cross_barrier next
       | Bridged o1 -> cross_barrier (Bridged o1)
-      | Phase2 (o1, s2) ->
-          let p2 = second o1 in
+      | Phase2 (p2, s2) ->
           let s2' =
             p2.receive ~round:(round - rounds_of_first) ~self
               ~inbox:(phase2 inbox) s2
           in
-          Phase2 (o1, s2')
+          Phase2 (p2, s2')
     in
     { state with phase }
   in
   let output state =
     match state.phase with
-    | Phase2 (o1, s2) -> (second o1).output s2
+    | Phase2 (p2, s2) -> p2.output s2
     | Phase1 _ | Bridged _ -> None
   in
   { name; init; send; receive; output }

@@ -56,12 +56,16 @@ val sequential :
   first:('s1, 'm1, 'o1) t ->
   rounds_of_first:int ->
   second:('o1 -> ('s2, 'm2, 'o2) t) ->
-  (('s1, 'o1, 's2) Composed.state, ('m1, 'm2) Composed.msg, 'o2) t
+  ( ('s1, 'o1, 's2, ('s2, 'm2, 'o2) t) Composed.state,
+    ('m1, 'm2) Composed.msg,
+    'o2 )
+  t
 (** [sequential ~first ~rounds_of_first ~second] runs [first], waits until
     round [rounds_of_first] ends (even for parties that decided earlier —
     the synchronisation barrier of TreeAA line 4), then runs [second] seeded
-    with [first]'s output. Rounds of [second] are numbered from 1 in its own
-    frame. Each send wraps its outbox in one [M1]/[M2] box per message
+    with [first]'s output. Each party calls [second] once, at the barrier,
+    and keeps the protocol it returns in its state. Rounds of [second] are
+    numbered from 1 in its own frame. Each send wraps its outbox in one [M1]/[M2] box per message
     (one per broadcast), and each phase reads its own letters through a
     view of the inbox that drops the other phase's. Raises [Failure] at
     the barrier if [first] has not decided. *)

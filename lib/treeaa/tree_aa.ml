@@ -3,11 +3,16 @@ open Aat_engine
 open Aat_gradecast
 open Aat_realaa
 
-type inner = (Paths_finder.state, Paths.path, Bdh.state) Composed.state
+type msg = (float Gradecast.Multi.msg, float Gradecast.Multi.msg) Composed.msg
+
+type inner =
+  ( Paths_finder.state,
+    Paths.path,
+    Bdh.state,
+    (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t )
+  Composed.state
 
 type state = Trivial of Labeled_tree.vertex | Running of inner
-
-type msg = (float Gradecast.Multi.msg, float Gradecast.Multi.msg) Composed.msg
 
 let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
   {
