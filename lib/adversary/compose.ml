@@ -25,7 +25,7 @@ let phased ~name ~barrier ~first ~second =
       n = view.n;
       t = view.t;
       corrupted = view.corrupted;
-      honest_outbox = unwrap1 view.honest_outbox;
+      honest_outbox = lazy (unwrap1 (Lazy.force view.honest_outbox));
       history =
         (if first.Adversary.reads_history then List.map unwrap1 view.history
          else []);
@@ -45,7 +45,7 @@ let phased ~name ~barrier ~first ~second =
       n = view.n;
       t = view.t;
       corrupted = view.corrupted;
-      honest_outbox = unwrap2 view.honest_outbox;
+      honest_outbox = lazy (unwrap2 (Lazy.force view.honest_outbox));
       history =
         (if second.Adversary.reads_history then
            List.map unwrap2 (take phase2_rounds view.history)

@@ -38,7 +38,7 @@ let generic_spoiler ~relentless ~project ~embed ~t ~iterations =
         match l.body with
         | Multi.Value v -> Hashtbl.replace honest_value l.src (project v)
         | Multi.Echo _ | Multi.Vote _ -> ())
-      view.honest_outbox;
+      (Lazy.force view.honest_outbox);
     let honest =
       Hashtbl.fold (fun p v acc -> (p, v) :: acc) honest_value []
       |> List.sort (fun (_, a) (_, b) -> compare b a)

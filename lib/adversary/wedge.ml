@@ -20,7 +20,9 @@ let naive_wedge () =
     | Some e -> e
     | None ->
         let values =
-          List.map (fun (l : float Types.letter) -> l.body) view.honest_outbox
+          List.map
+            (fun (l : float Types.letter) -> l.body)
+            (Lazy.force view.honest_outbox)
         in
         let e =
           match values with
@@ -61,7 +63,7 @@ let gradecast_wedge () =
               match l.body with
               | Multi.Value v -> Some v
               | Multi.Echo _ | Multi.Vote _ -> None)
-            view.honest_outbox
+            (Lazy.force view.honest_outbox)
         in
         let e =
           match values with
@@ -97,7 +99,7 @@ let gradecast_wedge () =
                 match l.body with
                 | Multi.Value v -> Some (l.src, v)
                 | Multi.Echo _ | Multi.Vote _ -> None)
-              view.honest_outbox
+              (Lazy.force view.honest_outbox)
             |> List.sort_uniq compare;
         let row_for value =
           let row = Array.make view.n None in

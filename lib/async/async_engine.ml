@@ -291,7 +291,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
       n;
       t;
       corrupted = Runtime.Corruption.flags corruption;
-      honest_outbox = [];
+      honest_outbox = Lazy.from_val [];
       history = (if reads_history then !history else []);
       rng;
     }

@@ -62,8 +62,9 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
      straight from [send] into the mailbox — the hot path at n ~ 10^4
      allocates nothing per letter at all. *)
   let passive = adversary.Adversary.passive in
-  (* The full path holds each live party's outbox from its send until
-     the adversary has moved and delivery starts. *)
+  (* The full path holds this round's outboxes, [To []] for a party that
+     did not send, until the next round's sends: the adversary's view
+     lists them from here. *)
   let outboxes = if passive then [||] else Array.make n (Protocol.To []) in
   (* The delivered-letter list has two readers: an adversary that declares
      it reads its history, and the recorded trace. Without either the
@@ -198,40 +199,53 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         (* 1. honest outboxes *)
         Array.iteri
           (fun p slot ->
-            match slot with
-            | Live s ->
-                let outbox = protocol.send ~round:r ~self:p s in
-                (match outbox with
-                | Protocol.To letters ->
-                    List.iter (fun (dst, _) -> check_dst p dst) letters
-                | Protocol.To_all _ -> ());
-                outboxes.(p) <- outbox
-            | Done _ | Corrupt -> ())
+            outboxes.(p) <-
+              (match slot with
+              | Live s ->
+                  let outbox = protocol.send ~round:r ~self:p s in
+                  (match outbox with
+                  | Protocol.To letters ->
+                      List.iter (fun (dst, _) -> check_dst p dst) letters
+                  | Protocol.To_all _ -> ());
+                  outbox
+              | Done _ | Corrupt -> Protocol.To []))
           slots;
-        (* The view lists the live parties' outboxes as letters in send
-           order. It is built once, and again only if [corrupt_more]
-           retracts someone's letters. *)
-        let view () =
-          let letters = ref [] in
-          for p = n - 1 downto 0 do
-            match (slots.(p), outboxes.(p)) with
-            | Live _, Protocol.To_all body ->
-                for dst = n - 1 downto 0 do
-                  letters := { Types.src = p; dst; body } :: !letters
-                done
-            | Live _, Protocol.To l ->
-                letters :=
-                  List.fold_right
-                    (fun (dst, body) acc -> { Types.src = p; dst; body } :: acc)
-                    l !letters
-            | (Done _ | Corrupt), _ -> ()
-          done;
+        (* The view's [honest_outbox] lists the outboxes as letters in
+           send order when a strategy forces it, which it may do only in
+           round [r]: the next round overwrites [outboxes]. The view made
+           after [corrupt_more] corrupted someone leaves their letters
+           out; until the next round no one else is corrupted. *)
+        let view ~retracted =
+          let honest_outbox =
+            lazy
+              (if !round <> r then
+                 invalid_arg
+                   (Printf.sprintf
+                      "Sync_engine: the round-%d view's honest_outbox was \
+                       forced in round %d"
+                      r !round);
+               let letters = ref [] in
+               for p = n - 1 downto 0 do
+                 if not (retracted && corrupted p) then
+                   match outboxes.(p) with
+                   | Protocol.To_all body ->
+                       for dst = n - 1 downto 0 do
+                         letters := { Types.src = p; dst; body } :: !letters
+                       done
+                   | Protocol.To l ->
+                       letters :=
+                         List.fold_right
+                           (fun (dst, body) acc -> { Types.src = p; dst; body } :: acc)
+                           l !letters
+               done;
+               !letters)
+          in
           {
             Adversary.round = r;
             n;
             t;
             corrupted = Runtime.Corruption.flags corruption;
-            honest_outbox = !letters;
+            honest_outbox;
             history = (if reads_history then !history else []);
             rng;
           }
@@ -240,7 +254,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
            this round are retracted (they are no longer live, so their
            outboxes are neither listed nor posted) and their state handed
            to the adversary (conceptually — we just drop it). *)
-        let rushing = view () in
+        let rushing = view ~retracted:false in
         let extra = adversary.corrupt_more rushing in
         List.iter
           (fun p ->
@@ -251,7 +265,8 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         let byz_letters =
           Runtime.Mailbox.screen mailbox ~adversary:adversary.name
             ~corrupted:(Runtime.Corruption.set corruption)
-            (adversary.deliver (if extra = [] then rushing else view ()))
+            (adversary.deliver
+               (if extra = [] then rushing else view ~retracted:true))
         in
         (* 4. delivery through the shared mailbox: at most one letter per
            (src, dst) pair. Adversary letters are posted first so that a

@@ -3,7 +3,7 @@ type 'msg view = {
   n : int;
   t : int;
   corrupted : bool array;
-  honest_outbox : 'msg Types.letter list;
+  honest_outbox : 'msg Types.letter list Lazy.t;
   history : 'msg Types.letter list list;
   rng : Aat_util.Rng.t;
 }

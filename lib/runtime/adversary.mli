@@ -19,7 +19,8 @@
 
     {b Both engines consume this type.} Under the synchronous engine the
     view is per round: [round] is the round number, [honest_outbox] is the
-    rushing power, [history] groups delivered letters round by round. Under
+    rushing power (listed only when a strategy forces it), [history]
+    groups delivered letters round by round. Under
     the asynchronous engine ({!Aat_async.Async_engine}) the view is per
     delivery event: [round] is the event counter, [honest_outbox] is empty
     (there is no round barrier to rush), and [history] holds one singleton
@@ -33,9 +34,14 @@ type 'msg view = {
   n : int;
   t : int;
   corrupted : bool array;  (** current corruption set, length [n] *)
-  honest_outbox : 'msg Types.letter list;
-      (** what honest parties are sending this round (rushing power);
-          always [[]] under the asynchronous engine *)
+  honest_outbox : 'msg Types.letter list Lazy.t;
+      (** what honest parties are sending this round (rushing power), in
+          send order; always [[]] under the asynchronous engine. The
+          synchronous engine lists the letters only when a strategy forces
+          this, so a strategy that never reads it costs no letter records.
+          It is valid only during its round: forcing it for the first
+          time in a later round (from a stashed view) raises
+          [Invalid_argument]. *)
   history : 'msg Types.letter list list;
       (** delivered traffic, most recent first — grouped per round
           (synchronous) or one singleton per delivery event (asynchronous).

@@ -166,7 +166,7 @@ module Per_pair_spoiler = struct
           match l.body with
           | Multi.Value v -> Hashtbl.replace honest_value l.src (project v)
           | Multi.Echo _ | Multi.Vote _ -> ())
-        view.honest_outbox;
+        (Lazy.force view.honest_outbox);
       let honest =
         Hashtbl.fold (fun p v acc -> (p, v) :: acc) honest_value []
         |> List.sort (fun (_, a) (_, b) -> compare b a)
@@ -318,7 +318,7 @@ let spoiler_matches_oracle ~rng ~n ~t ~iterations ~honest_wire
         n;
         t;
         corrupted = Array.copy corrupted;
-        honest_outbox;
+        honest_outbox = Lazy.from_val honest_outbox;
         history = [];
         rng = Rng.create 0;
       }
@@ -384,7 +384,7 @@ let test_wedge_camps_split_honest () =
       n = 7;
       t = 2;
       corrupted = [| false; false; false; false; false; true; true |];
-      honest_outbox = [];
+      honest_outbox = Lazy.from_val [];
       history = [];
       rng = Aat_util.Rng.create 0;
     }

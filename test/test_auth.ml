@@ -173,7 +173,7 @@ let replayer ~keyring:_ =
                  match l.body with
                  | Auth.Accountable.Announce s -> Some s
                  | _ -> None)
-               view.honest_outbox);
+               (Lazy.force view.honest_outbox));
         if view.Adversary.round = 2 then
           List.init view.Adversary.n (fun dst ->
               {

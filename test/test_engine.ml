@@ -229,7 +229,7 @@ let test_rushing_view () =
           (fun (l : int Types.letter) ->
             if l.dst = 2 then Some { Types.src = 2; dst = l.src; body = l.body + 100 }
             else None)
-          view.Adversary.honest_outbox)
+          (Lazy.force view.Adversary.honest_outbox))
   in
   let report = Sync_engine.run ~n:3 ~t:1 ~protocol:gather ~adversary:echoer () in
   (* party 0 hears: 0 (self), 1 (honest), and 100 + 0 (its own id echoed) *)
@@ -373,6 +373,73 @@ let test_stale_inbox_rejected () =
         (String.starts_with ~prefix:"Invalid_argument(\"Mailbox.inbox:" exn_text)
   | _ -> Alcotest.fail "a stale inbox read must error the run"
 
+(* Stashes its round-1 view and forces that view's honest outbox in
+   round 2. *)
+let stale_viewer () =
+  let stash = ref None in
+  Adversary.static ~name:"stale-viewer"
+    ~pick:(fun ~n:_ ~t:_ _ -> [ 2 ])
+    ~deliver:(fun view ->
+      (match !stash with
+      | None -> stash := Some view
+      | Some old -> ignore (Lazy.force old.Adversary.honest_outbox));
+      [])
+
+let test_stale_view_rejected () =
+  let engine_error m = String.starts_with ~prefix:"Sync_engine: the round-1 view" m in
+  check "engine raises Invalid_argument" true
+    (try
+       ignore
+         (Sync_engine.run ~n:4 ~t:1 ~max_rounds:3 ~protocol:(countdown 3)
+            ~adversary:(stale_viewer ()) ());
+       false
+     with Invalid_argument m -> engine_error m);
+  let runner =
+    Aat_campaign.Runner.of_protocol ~name:"countdown" ~n:4 ~t:1 ~max_rounds:3
+      ~protocol:(fun () -> countdown 3)
+      ~adversary:stale_viewer
+      ~check:(fun _ ->
+        { Verdict.termination = true; validity = true; agreement = true })
+      ()
+  in
+  match (runner.Aat_campaign.Runner.run ~seed:0 ()).Aat_campaign.Runner.status with
+  | Aat_campaign.Runner.Errored { stage; exn_text } ->
+      Alcotest.(check string) "errored at the engine stage" "engine" stage;
+      check "raised the engine's Invalid_argument" true
+        (String.starts_with ~prefix:"Invalid_argument(\"Sync_engine: the round-1 view"
+           exn_text)
+  | _ -> Alcotest.fail "forcing a stale view must error the run"
+
+(* [corrupt_more] stashes its view and corrupts party 1; [deliver] then
+   forces both views. The first still lists party 1's retracted letters,
+   as when it was made; the second leaves them out. *)
+let test_views_around_a_corruption () =
+  let first = ref None and seen = ref [] in
+  let senders view =
+    List.sort_uniq compare
+      (List.map (fun (l : int Types.letter) -> l.src) (Lazy.force view.Adversary.honest_outbox))
+  in
+  let adversary =
+    {
+      (Adversary.static ~name:"corrupt-1"
+         ~pick:(fun ~n:_ ~t:_ _ -> [])
+         ~deliver:(fun view ->
+           (match !first with
+           | Some v when view.Adversary.round = 1 -> seen := [ senders v; senders view ]
+           | _ -> ());
+           []))
+      with
+      Adversary.corrupt_more =
+        (fun view ->
+          if view.Adversary.round = 1 then (first := Some view; [ 1 ]) else []);
+    }
+  in
+  ignore (Sync_engine.run ~n:4 ~t:1 ~protocol:gather ~adversary ());
+  Alcotest.(check (list (list int)))
+    "first view, then the view after the corruption"
+    [ [ 0; 1; 2; 3 ]; [ 0; 2; 3 ] ]
+    !seen
+
 let test_verdict_real () =
   let v =
     Verdict.real ~eps:0.5 ~n_honest:3 ~honest_inputs:[ 0.; 1.; 2. ]
@@ -475,6 +542,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_outbox_forms_agree;
           Alcotest.test_case "stale inbox read is rejected" `Quick
             test_stale_inbox_rejected;
+          Alcotest.test_case "stale view's honest outbox is rejected" `Quick
+            test_stale_view_rejected;
+          Alcotest.test_case "views before and after a corruption" `Quick
+            test_views_around_a_corruption;
         ] );
       ( "corruption",
         [
