@@ -90,10 +90,20 @@ let finish_iteration st =
         | Gradecast.G0 | Gradecast.G1 -> faulty.(leader) <- true
         | Gradecast.G2 -> ())
       results;
-  let values =
-    Array.to_list results
-    |> List.filter_map (fun (r : float Gradecast.result) -> r.value)
+  let included =
+    Array.fold_left
+      (fun k (r : float Gradecast.result) -> if Option.is_some r.value then k + 1 else k)
+      0 results
   in
+  (* The included values in leader order, unboxed. *)
+  let values = Array.create_float included and k = ref 0 in
+  for leader = 0 to Array.length results - 1 do
+    match results.(leader).Gradecast.value with
+    | Some v ->
+        values.(!k) <- v;
+        incr k
+    | None -> ()
+  done;
   (* Fault-adaptive trimming: a leader whose instance came back grade 0 is
      provably Byzantine (honest leaders always reach grade 2), so at most
      [t - excluded] of the included values are Byzantine. Trimming only
@@ -101,14 +111,14 @@ let finish_iteration st =
      full [t] the window would shrink as parties get blacklisted and a
      single planted value could move the mean by half the range, breaking
      the per-iteration factor of Lemma 5. *)
-  let excluded = st.n - List.length values in
+  let excluded = st.n - included in
   let t_eff =
     if st.knobs.adaptive_trim then max 0 (st.t - excluded) else st.t
   in
   let averaged =
     match st.knobs.averaging with
-    | Mean -> Trim.trimmed_mean ~t:t_eff values
-    | Midpoint -> Trim.trimmed_midpoint ~t:t_eff values
+    | Mean -> Trim.trimmed_mean_array ~t:t_eff values
+    | Midpoint -> Trim.trimmed_midpoint ~t:t_eff (Array.to_list values)
   in
   let value =
     match averaged with

@@ -29,5 +29,10 @@ val trimmed_mean : t:int -> float list -> float option
     min-max midpoint would lose a full half of the range to one planted
     value. *)
 
+val trimmed_mean_array : t:int -> float array -> float option
+(** [trimmed_mean ~t (Array.to_list values)], bit for bit, without boxing
+    a float: sorts [values] in place under [Float.compare], stably, and
+    sums the window left to right from [0.]. *)
+
 val range : float list -> (float * float) option
 (** [(min, max)] of a non-empty list. *)
