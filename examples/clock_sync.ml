@@ -43,7 +43,7 @@ let () =
       ()
   in
   let outputs =
-    List.map (fun (r : Real_aa.result) -> r.value) (Engine.honest_outputs report)
+    List.map (fun (r : Real_aa.result) -> r.value) (Report.honest_outputs report)
   in
   Printf.printf "\nfixed schedule: %d rounds; corrected clocks:\n"
     report.rounds_used;
@@ -72,7 +72,7 @@ let () =
   let outputs2 =
     List.map
       (fun (r : Early_real_aa.result) -> r.value)
-      (Engine.honest_outputs report2)
+      (Report.honest_outputs report2)
   in
   let verdict2 =
     Verdict.real ~eps ~n_honest:7 ~honest_inputs:honest ~honest_outputs:outputs2

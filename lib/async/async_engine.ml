@@ -32,22 +32,7 @@ let passive ?(scheduler = Fifo) name =
 
 let with_scheduler ?(scheduler = Fifo) core = { core; scheduler }
 
-type ('out, 'msg) report = ('out, 'msg) Runtime.Report.t = {
-  engine : string;
-  n : int;
-  t : int;
-  outputs : (Types.party_id * 'out) list;
-  termination_rounds : (Types.party_id * Types.round) list;
-  rounds_used : int;
-  corrupted : Types.party_id list;
-  corruption_rounds : (Types.party_id * Types.round) list;
-  honest_messages : int;
-  adversary_messages : int;
-  rejected_forgeries : int;
-  trace : 'msg Types.letter list list;
-  fault_stats : Runtime.Report.fault_stats;
-  watchdog_violations : Runtime.Watchdog.violation list;
-}
+type ('out, 'msg) report = ('out, 'msg) Runtime.Report.t
 
 exception Exceeded_max_events of string
 
@@ -419,7 +404,7 @@ let run_outcome (type s m o) ~n ~t ?(max_events = Runtime.Defaults.max_events)
   done;
   let report =
     {
-      engine = "async";
+      Runtime.Report.engine = "async";
       n;
       t;
       outputs = !outs;

@@ -91,30 +91,7 @@ val with_scheduler : ?scheduler:scheduler -> 'msg Adversary.t -> 'msg adversary
     defaults to [Fifo]) — the adapter behind "every [lib/adversary]
     strategy runs against either engine". *)
 
-type ('out, 'msg) report = ('out, 'msg) Aat_runtime.Report.t = {
-  engine : string;  (** ["async"] *)
-  n : int;
-  t : int;
-  outputs : (Types.party_id * 'out) list;
-  termination_rounds : (Types.party_id * Types.round) list;
-      (** the delivery event at which each honest party decided; [0] for a
-          party that decided at initialization *)
-  rounds_used : int;  (** total delivery events *)
-  corrupted : Types.party_id list;
-  corruption_rounds : (Types.party_id * Types.round) list;
-      (** the delivery event at which each corruption happened; [0] =
-          initially corrupted *)
-  honest_messages : int;
-  adversary_messages : int;  (** injected letters that survived screening *)
-  rejected_forgeries : int;
-  trace : 'msg Types.letter list list;
-      (** one singleton list per delivery event, oldest first (empty unless
-          [~record_trace:true]) *)
-  fault_stats : Aat_runtime.Report.fault_stats;
-      (** injected-fault accounting; all zeros on a benign run *)
-  watchdog_violations : Aat_runtime.Watchdog.violation list;
-      (** first violation per installed watchdog, in firing order *)
-}
+type ('out, 'msg) report = ('out, 'msg) Aat_runtime.Report.t
 
 exception Exceeded_max_events of string
 

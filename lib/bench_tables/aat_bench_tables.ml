@@ -140,7 +140,7 @@ let table_e1 ?(workers = 1) () =
       ~adversary:(Spoiler.realaa_spoiler ~t ~iterations)
       ()
   in
-  let outputs = Engine.honest_outputs report in
+  let outputs = Report.honest_outputs report in
   let rows =
     List.init iterations (fun k ->
         let spread =
@@ -204,9 +204,9 @@ let table_e1 ?(workers = 1) () =
 let tree_verdict_of tree inputs (report : (_, _) Engine.report) =
   let honest_inputs = honest_inputs_of inputs report in
   Tree_verdict.check ~tree
-    ~n_honest:(Array.length inputs - List.length report.Engine.corrupted)
+    ~n_honest:(Array.length inputs - List.length report.Report.corrupted)
     ~honest_inputs
-    ~honest_outputs:(Engine.honest_outputs report)
+    ~honest_outputs:(Report.honest_outputs report)
 
 let spoiler_for_tree ~tree ~t =
   let nv = Tree.n_vertices tree in
@@ -258,12 +258,12 @@ let table_e2 () =
           family;
           string_of_int nv;
           string_of_int d;
-          string_of_int r_passive.Engine.rounds_used;
+          string_of_int r_passive.Report.rounds_used;
           string_of_int (Tree_aa.rounds ~tree);
           string_of_int
             (Rounds.paper_round_bound ~range:(2. *. float_of_int nv) ~eps:1.
             + Rounds.paper_round_bound ~range:(float_of_int (max 2 d)) ~eps:1.);
-          string_of_int r_passive.Engine.honest_messages;
+          string_of_int r_passive.Report.honest_messages;
           ok_of verdicts;
         ])
       families
@@ -360,13 +360,13 @@ let table_e4 () =
           [
             family ^ "/TreeAA";
             string_of_int nv;
-            string_of_int r_tree.Engine.rounds_used;
+            string_of_int r_tree.Report.rounds_used;
             ok_of (tree_verdict_of tree inputs r_tree);
           ];
           [
             family ^ "/NR";
             string_of_int nv;
-            string_of_int r_nr.Engine.rounds_used;
+            string_of_int r_nr.Report.rounds_used;
             ok_of (tree_verdict_of tree inputs r_nr);
           ];
         ])
@@ -580,21 +580,21 @@ let table_e8 () =
                    ~t ~eps:1. ~max_iterations)
               ~adversary ()
           in
-          let outputs = Engine.honest_outputs report in
+          let outputs = Report.honest_outputs report in
           let honest_inputs = honest_inputs_of values report in
           let verdict =
             Verdict.real ~eps:1.
-              ~n_honest:(n - List.length report.Engine.corrupted)
+              ~n_honest:(n - List.length report.Report.corrupted)
               ~honest_inputs
               ~honest_outputs:
                 (List.map (fun (r : Early_real_aa.result) -> r.value) outputs)
           in
-          let decision_rounds = List.map snd report.Engine.termination_rounds in
+          let decision_rounds = List.map snd report.Report.termination_rounds in
           [
             sci d;
             name;
             string_of_int (List.fold_left min max_int decision_rounds);
-            string_of_int report.Engine.rounds_used;
+            string_of_int report.Report.rounds_used;
             string_of_int (3 * max_iterations);
             ok_of verdict;
           ]
@@ -643,7 +643,7 @@ let table_e9 () =
             let honest_inputs =
               Array.to_list inputs
               |> List.filteri (fun i _ ->
-                     not (List.mem i report.Async_engine.corrupted))
+                     not (List.mem i report.Report.corrupted))
             in
             let verdict =
               Tree_verdict.check ~tree ~n_honest:(List.length honest_inputs)
@@ -651,15 +651,15 @@ let table_e9 () =
                 ~honest_outputs:
                   (List.map
                      (fun (_, (r : Tree.vertex Async_aa.result)) -> r.value)
-                     report.Async_engine.outputs)
+                     report.Report.outputs)
             in
             [
               family;
               string_of_int nv;
               sched_name;
               string_of_int iterations;
-              string_of_int report.Async_engine.rounds_used;
-              string_of_int report.Async_engine.honest_messages;
+              string_of_int report.Report.rounds_used;
+              string_of_int report.Report.honest_messages;
               string_of_int (Tree_aa.rounds ~tree);
               ok_of verdict;
             ])
@@ -701,8 +701,8 @@ let table_e10 () =
             ~adversary:(Adversary.passive "none")
             ()
         in
-        let rounds = report.Engine.rounds_used in
-        let msgs = report.Engine.honest_messages in
+        let rounds = report.Report.rounds_used in
+        let msgs = report.Report.honest_messages in
         let tree = Generate.path (int_of_float d + 1) in
         let vertex_inputs = Array.init n (fun i -> (i * 1013) mod (int_of_float d + 1)) in
         let tree_report =
@@ -715,11 +715,11 @@ let table_e10 () =
           string_of_int rounds;
           string_of_int msgs;
           f2 (float_of_int msgs /. float_of_int (rounds * n * n));
-          string_of_int tree_report.Engine.rounds_used;
-          string_of_int tree_report.Engine.honest_messages;
+          string_of_int tree_report.Report.rounds_used;
+          string_of_int tree_report.Report.honest_messages;
           f2
-            (float_of_int tree_report.Engine.honest_messages
-            /. float_of_int (tree_report.Engine.rounds_used * n * n));
+            (float_of_int tree_report.Report.honest_messages
+            /. float_of_int (tree_report.Report.rounds_used * n * n));
         ])
       [ (4, 1); (7, 2); (10, 3); (13, 4); (16, 5); (31, 10) ]
   in
@@ -857,7 +857,7 @@ let table_ablations () =
     Verdict.spread
       (List.map
          (fun (r : Real_aa.result) -> r.value)
-         (Engine.honest_outputs report))
+         (Report.honest_outputs report))
   in
   let faithful = Real_aa.faithful in
   let agreement spread =
@@ -1056,7 +1056,7 @@ let table_scale () =
         ()
     in
     emit ~label:("tree-aa/" ^ label) ~n ~t
-      ~rounds:report.Engine.rounds_used ~msgs:report.Engine.honest_messages
+      ~rounds:report.Report.rounds_used ~msgs:report.Report.honest_messages
       ~bytes:!bytes
   in
   let midpoint_row ~n =
@@ -1071,8 +1071,8 @@ let table_scale () =
         ~adversary:(Adversary.passive "none")
         ()
     in
-    emit ~label:"midpoint-naive" ~n ~t ~rounds:report.Engine.rounds_used
-      ~msgs:report.Engine.honest_messages ~bytes:!bytes
+    emit ~label:"midpoint-naive" ~n ~t ~rounds:report.Report.rounds_used
+      ~msgs:report.Report.honest_messages ~bytes:!bytes
   in
   (* Full tree-aa (gradecast transport, Θ(n²) letters of Θ(n) payload per
      round) to n = 300; a degenerate single-vertex tree carries the

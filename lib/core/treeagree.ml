@@ -184,8 +184,8 @@ module Quick = struct
           ~value:Fun.id report
       in
       {
-        outputs = report.Engine.outputs;
-        rounds = report.Engine.rounds_used;
+        outputs = report.Report.outputs;
+        rounds = report.Report.rounds_used;
         verdict;
         grade;
         status;

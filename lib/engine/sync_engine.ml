@@ -1,21 +1,6 @@
 module Runtime = Aat_runtime
 
-type ('out, 'msg) report = ('out, 'msg) Runtime.Report.t = {
-  engine : string;
-  n : int;
-  t : int;
-  outputs : (Types.party_id * 'out) list;
-  termination_rounds : (Types.party_id * Types.round) list;
-  rounds_used : int;
-  corrupted : Types.party_id list;
-  corruption_rounds : (Types.party_id * Types.round) list;
-  honest_messages : int;
-  adversary_messages : int;
-  rejected_forgeries : int;
-  trace : 'msg Types.letter list list;
-  fault_stats : Runtime.Report.fault_stats;
-  watchdog_violations : Runtime.Watchdog.violation list;
-}
+type ('out, 'msg) report = ('out, 'msg) Runtime.Report.t
 
 exception Exceeded_max_rounds of string
 
@@ -56,16 +41,10 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
      the adversary moves, and do not consume its corruption budget. *)
   List.iter (fun (p, at) -> if at <= 0 then crash p ~at:0) crash_faults;
   let corrupted p = Runtime.Corruption.is_corrupted corruption p in
-  (* Engine fast path. A passive adversary never corrupts, never sends and
-     never reads its view, so the per-round view (the outbox as letters,
-     corruption-flag copies) is never built and honest outboxes stream
-     straight from [send] into the mailbox — the hot path at n ~ 10^4
-     allocates nothing per letter at all. *)
-  let passive = adversary.Adversary.passive in
-  (* The full path holds this round's outboxes, [To []] for a party that
-     did not send, until the next round's sends: the adversary's view
-     lists them from here. *)
-  let outboxes = if passive then [||] else Array.make n (Protocol.To []) in
+  (* This round's outboxes, [To []] for a party that did not send, held
+     until the next round's sends: the adversary's view lists them from
+     here. *)
+  let outboxes = Array.make n (Protocol.To []) in
   (* The delivered-letter list has two readers: an adversary that declares
      it reads its history, and the recorded trace. Without either the
      mailbox builds no letter per delivery; counters cover the rest. *)
@@ -135,45 +114,12 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
       let dropped_before =
         (Runtime.Mailbox.fault_stats mailbox ~crashed:0).Runtime.Report.dropped
       in
-      (* Per-round telemetry accumulators, shared by both paths. [sent_by]
-         is handed to the sink, which may retain it: fresh per round. *)
+      (* Per-round telemetry accumulators. [sent_by] is handed to the
+         sink, which may retain it: fresh per round. *)
       let sent_by = if live then Array.make n 0 else [||] in
       let honest_bytes = ref 0 and adversary_bytes = ref 0 in
-      let honest_count = ref 0 and byz_count = ref 0 in
-      let check_dst p dst =
-        if dst < 0 || dst >= n then
-          invalid_arg
-            (Printf.sprintf "%s: p%d sent to invalid party %d" protocol.name
-               p dst)
-      in
-      (* Posting one honest party's outbox, shared by both send paths: a
-         broadcast is one loop over recipients with one payload, a [To]
-         list is checked and posted in order. The mailbox keeps the first
-         letter per recipient it delivers. *)
-      let post_outbox p = function
-        | Protocol.To_all body ->
-            for dst = 0 to n - 1 do
-              Runtime.Mailbox.post_direct mailbox ~src:p ~dst body
-            done;
-            honest_count := !honest_count + n;
-            if live then begin
-              sent_by.(p) <- sent_by.(p) + n;
-              honest_bytes :=
-                !honest_bytes + (n * Telemetry.payload_bytes body)
-            end
-        | Protocol.To letters ->
-            List.iter
-              (fun (dst, body) ->
-                check_dst p dst;
-                Runtime.Mailbox.post_direct mailbox ~src:p ~dst body;
-                incr honest_count;
-                if live then begin
-                  sent_by.(p) <- sent_by.(p) + 1;
-                  honest_bytes := !honest_bytes + Telemetry.payload_bytes body
-                end)
-              letters
-      in
-      (* Fault-plan crashes land at the start of the round, before any
+      let honest_count = ref 0 in
+      (* 1. Fault-plan crashes land at the start of the round, before any
          send: a party crashing in round [r] is a corrupted party that is
          silent from [r] on. *)
       List.iter
@@ -183,120 +129,141 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
             if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt
           end)
         crash_faults;
-      if passive then begin
-        Runtime.Mailbox.begin_round ~round:r mailbox;
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live s -> post_outbox p (protocol.send ~round:r ~self:p s)
-            | Done _ | Corrupt -> ())
-          slots;
-        Runtime.Mailbox.note_honest mailbox !honest_count
-      end
-      else begin
-        (* Full path: a live adversary gets its rushing view, adaptive
-           corruptions and screened deliveries. *)
-        (* 1. honest outboxes *)
-        Array.iteri
-          (fun p slot ->
-            outboxes.(p) <-
-              (match slot with
-              | Live s ->
-                  let outbox = protocol.send ~round:r ~self:p s in
-                  (match outbox with
-                  | Protocol.To letters ->
-                      List.iter (fun (dst, _) -> check_dst p dst) letters
-                  | Protocol.To_all _ -> ());
-                  outbox
-              | Done _ | Corrupt -> Protocol.To []))
-          slots;
-        (* The view's [honest_outbox] lists the outboxes as letters in
-           send order when a strategy forces it, which it may do only in
-           round [r]: the next round overwrites [outboxes]. The view made
-           after [corrupt_more] corrupted someone leaves their letters
-           out; until the next round no one else is corrupted. *)
-        let view ~retracted =
-          let honest_outbox =
-            lazy
-              (if !round <> r then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Sync_engine: the round-%d view's honest_outbox was \
-                       forced in round %d"
-                      r !round);
-               let letters = ref [] in
-               for p = n - 1 downto 0 do
-                 if not (retracted && corrupted p) then
-                   match outboxes.(p) with
-                   | Protocol.To_all body ->
-                       for dst = n - 1 downto 0 do
-                         letters := { Types.src = p; dst; body } :: !letters
-                       done
-                   | Protocol.To l ->
-                       letters :=
-                         List.fold_right
-                           (fun (dst, body) acc -> { Types.src = p; dst; body } :: acc)
-                           l !letters
-               done;
-               !letters)
-          in
-          {
-            Adversary.round = r;
-            n;
-            t;
-            corrupted = Runtime.Corruption.flags corruption;
-            honest_outbox;
-            history = (if reads_history then !history else []);
-            rng;
-          }
+      (* 2. The round begins before any send, so an inbox from an earlier
+         round is stale from here on, whatever reads it. *)
+      Runtime.Mailbox.begin_round ~round:r mailbox;
+      (* 3. honest outboxes, each [To] recipient checked once *)
+      Array.iteri
+        (fun p slot ->
+          outboxes.(p) <-
+            (match slot with
+            | Live s ->
+                let outbox = protocol.send ~round:r ~self:p s in
+                (match outbox with
+                | Protocol.To letters ->
+                    List.iter
+                      (fun (dst, _) ->
+                        if dst < 0 || dst >= n then
+                          invalid_arg
+                            (Printf.sprintf "%s: p%d sent to invalid party %d"
+                               protocol.name p dst))
+                      letters
+                | Protocol.To_all _ -> ());
+                outbox
+            | Done _ | Corrupt -> Protocol.To []))
+        slots;
+      (* 4. The adversary's rushing view. Its [honest_outbox] lists the
+         outboxes as letters in send order when a strategy forces it,
+         which it may do only in round [r]: the next round overwrites
+         [outboxes]. The view made after [corrupt_more] corrupted someone
+         leaves their letters out; until the next round no one else is
+         corrupted. *)
+      let view ~retracted =
+        let honest_outbox =
+          lazy
+            (if !round <> r then
+               invalid_arg
+                 (Printf.sprintf
+                    "Sync_engine: the round-%d view's honest_outbox was \
+                     forced in round %d"
+                    r !round);
+             let letters = ref [] in
+             for p = n - 1 downto 0 do
+               if not (retracted && corrupted p) then
+                 match outboxes.(p) with
+                 | Protocol.To_all body ->
+                     for dst = n - 1 downto 0 do
+                       letters := { Types.src = p; dst; body } :: !letters
+                     done
+                 | Protocol.To l ->
+                     letters :=
+                       List.fold_right
+                         (fun (dst, body) acc -> { Types.src = p; dst; body } :: acc)
+                         l !letters
+             done;
+             !letters)
         in
-        (* 2. adaptive corruptions: newly corrupted parties' messages of
-           this round are retracted (they are no longer live, so their
-           outboxes are neither listed nor posted) and their state handed
-           to the adversary (conceptually — we just drop it). *)
-        let rushing = view ~retracted:false in
-        let extra = adversary.corrupt_more rushing in
+        {
+          Adversary.round = r;
+          n;
+          t;
+          corrupted = Runtime.Corruption.flags corruption;
+          honest_outbox;
+          history = (if reads_history then !history else []);
+          rng;
+        }
+      in
+      (* Adaptive corruptions: newly corrupted parties' messages of this
+         round are retracted (they are no longer live, so their outboxes
+         are neither listed nor posted) and their state handed to the
+         adversary (conceptually — we just drop it). *)
+      let rushing = view ~retracted:false in
+      let extra = adversary.corrupt_more rushing in
+      List.iter
+        (fun p ->
+          ignore (Runtime.Corruption.corrupt corruption ~at:r p);
+          if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt)
+        extra;
+      (* The adversary's letters, screened for forged senders
+         (authenticated channels). *)
+      let byz_letters =
+        Runtime.Mailbox.screen mailbox ~adversary:adversary.name
+          ~corrupted:(Runtime.Corruption.set corruption)
+          (adversary.deliver
+             (if extra = [] then rushing else view ~retracted:true))
+      in
+      (* 5. Delivery through the shared mailbox: at most one letter per
+         (src, dst) pair. Adversary letters are posted first so that a
+         Byzantine double-send to the same recipient resolves to the
+         adversary's *last* choice, and an adversary letter from a
+         newly-corrupted party overrides the retracted honest one. The
+         honest outboxes follow in send order: a broadcast is one loop
+         over recipients with one payload, a [To] list is posted in
+         order, and the mailbox keeps the first letter per recipient it
+         delivers. The installed fault filter (if any) is consulted
+         inside [post]. *)
+      Runtime.Mailbox.post_last_wins mailbox byz_letters;
+      Array.iteri
+        (fun p slot ->
+          match slot with
+          | Live _ -> (
+              match outboxes.(p) with
+              | Protocol.To_all body ->
+                  for dst = 0 to n - 1 do
+                    Runtime.Mailbox.post_direct mailbox ~src:p ~dst body
+                  done;
+                  honest_count := !honest_count + n;
+                  if live then begin
+                    sent_by.(p) <- sent_by.(p) + n;
+                    honest_bytes :=
+                      !honest_bytes + (n * Telemetry.payload_bytes body)
+                  end
+              | Protocol.To letters ->
+                  List.iter
+                    (fun (dst, body) ->
+                      Runtime.Mailbox.post_direct mailbox ~src:p ~dst body;
+                      incr honest_count;
+                      if live then begin
+                        sent_by.(p) <- sent_by.(p) + 1;
+                        honest_bytes :=
+                          !honest_bytes + Telemetry.payload_bytes body
+                      end)
+                    letters)
+          | Done _ | Corrupt -> ())
+        slots;
+      let byz_count = List.length byz_letters in
+      Runtime.Mailbox.note_honest mailbox !honest_count;
+      Runtime.Mailbox.note_adversary mailbox byz_count;
+      if live then
         List.iter
-          (fun p ->
-            ignore (Runtime.Corruption.corrupt corruption ~at:r p);
-            if p >= 0 && p < n && corrupted p then slots.(p) <- Corrupt)
-          extra;
-        (* 3. adversary messages, authenticated-channel check *)
-        let byz_letters =
-          Runtime.Mailbox.screen mailbox ~adversary:adversary.name
-            ~corrupted:(Runtime.Corruption.set corruption)
-            (adversary.deliver
-               (if extra = [] then rushing else view ~retracted:true))
-        in
-        (* 4. delivery through the shared mailbox: at most one letter per
-           (src, dst) pair. Adversary letters are posted first so that a
-           Byzantine double-send to the same recipient resolves to the
-           adversary's *last* choice, and an adversary letter from a
-           newly-corrupted party overrides the retracted honest one. The
-           honest outboxes follow in send order. The installed fault
-           filter (if any) is consulted inside [post]. *)
-        Runtime.Mailbox.begin_round ~round:r mailbox;
-        Runtime.Mailbox.post_last_wins mailbox byz_letters;
-        Array.iteri
-          (fun p slot ->
-            match slot with
-            | Live _ -> post_outbox p outboxes.(p)
-            | Done _ | Corrupt -> ())
-          slots;
-        byz_count := List.length byz_letters;
-        Runtime.Mailbox.note_honest mailbox !honest_count;
-        Runtime.Mailbox.note_adversary mailbox !byz_count;
-        if live then
-          List.iter
-            (fun (l : m Types.letter) ->
-              sent_by.(l.src) <- sent_by.(l.src) + 1;
-              adversary_bytes :=
-                !adversary_bytes + Telemetry.payload_bytes l.body)
-            byz_letters
-      end;
+          (fun (l : m Types.letter) ->
+            sent_by.(l.src) <- sent_by.(l.src) + 1;
+            adversary_bytes :=
+              !adversary_bytes + Telemetry.payload_bytes l.body)
+          byz_letters;
       if track_delivered then
         history := Runtime.Mailbox.delivered mailbox :: !history;
-      (* 5. honest receive + termination. On telemetered runs with an
+      (* 6. honest receive + termination. On telemetered runs with an
          [observe] function, each party's post-receive state is sampled here —
          including parties deciding this round, whose state is about to be
          discarded. Watchdogs see the same post-receive states. *)
@@ -326,7 +293,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
         Runtime.Watchdog.step watch ~round:r
           ~states:(List.rev !wd_states_rev)
           ~corrupted:(Runtime.Corruption.set corruption);
-      (* 6. telemetry: one event per round, after receives so that probes
+      (* 7. telemetry: one event per round, after receives so that probes
          fired inside [receive] and post-round state snapshots are included *)
       if live then begin
         let grades, marks =
@@ -349,7 +316,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
           {
             Telemetry.round = r;
             honest_msgs = !honest_count;
-            adversary_msgs = !byz_count;
+            adversary_msgs = byz_count;
             delivered_msgs = Runtime.Mailbox.delivered_count mailbox;
             rejected_forgeries =
               Runtime.Mailbox.rejected_forgeries mailbox - forgeries_before;
@@ -385,7 +352,7 @@ let run_outcome (type s m o) ~n ~t ?max_rounds ?(seed = 0)
     slots;
   let report =
     {
-      engine = "sync";
+      Runtime.Report.engine = "sync";
       n;
       t;
       outputs = List.rev !outputs;
@@ -425,9 +392,3 @@ let run ~n ~t ?max_rounds ?seed ?record_trace ?telemetry ?observe
       (* [run_outcome] lets protocol/adversary exceptions escape; only
          [Runner.run] folds them into [Engine_error]. *)
       assert false
-
-let output_of = Runtime.Report.output_of
-
-let honest_outputs = Runtime.Report.honest_outputs
-
-let initially_corrupted = Runtime.Report.initially_corrupted

@@ -104,8 +104,8 @@ let note_honest mb k = mb.honest_messages <- mb.honest_messages + k
 
 let note_adversary mb k = mb.adversary_messages <- mb.adversary_messages + k
 
-let begin_round ?round mb =
-  (match round with Some r -> mb.round <- r | None -> mb.round <- mb.round + 1);
+let begin_round ~round mb =
+  mb.round <- round;
   mb.epoch <- mb.epoch + 1;
   Bytes.fill mb.seen 0 (Bytes.length mb.seen) '\000';
   mb.delivered_rev <- [];

@@ -97,12 +97,11 @@ val rejected_forgeries : 'msg t -> int
 
 (** {1 Per-round delivery (synchronous engine)} *)
 
-val begin_round : ?round:Types.round -> 'msg t -> unit
-(** Reset the round-local delivery state (dedup table, inboxes, delivered
-    list). Accounting is cumulative and survives. [?round] tells the
-    mailbox which round the following posts belong to (for the fault
-    filter); when omitted the internal round counter just increments,
-    which matches engines that call [begin_round] once per round. *)
+val begin_round : round:Types.round -> 'msg t -> unit
+(** Start round [round]: reset the round-local delivery state (dedup
+    table, inboxes, delivered list) and stamp the following posts with
+    [round] for the fault filter. Every inbox handed out before this call
+    is stale from here on. Accounting is cumulative and survives. *)
 
 val post : 'msg t -> 'msg Types.letter -> unit
 (** Deliver a letter unless the fault filter drops it or the [(src, dst)]

@@ -4,6 +4,7 @@
 
 open Aat_engine
 open Aat_realaa
+module Report = Aat_runtime.Report
 module Strategies = Aat_adversary.Strategies
 module Spoiler = Aat_adversary.Spoiler
 module Wedge = Aat_adversary.Wedge
@@ -53,7 +54,7 @@ let test_puppeteer_identity_is_honest () =
   List.iter
     (fun p ->
       check "same inbox" true
-        (Sync_engine.output_of honest_run p = Sync_engine.output_of puppet_run p))
+        (Report.output_of honest_run p = Report.output_of puppet_run p))
     [ 0; 1; 2; 3 ]
 
 let test_puppeteer_rewrites_per_recipient () =
@@ -64,9 +65,9 @@ let test_puppeteer_rewrites_per_recipient () =
   in
   let report = Sync_engine.run ~n:5 ~t:1 ~protocol:gather ~adversary () in
   Alcotest.(check (list int)) "p0 sees twisted" [ 0; 1; 2; 3; 104 ]
-    (Sync_engine.output_of report 0);
+    (Report.output_of report 0);
   Alcotest.(check (list int)) "p3 sees original" [ 0; 1; 2; 3; 4 ]
-    (Sync_engine.output_of report 3)
+    (Report.output_of report 3)
 
 let test_omit_towards () =
   let adversary =
@@ -74,9 +75,9 @@ let test_omit_towards () =
       ~blocked:[ 0; 1 ]
   in
   let report = Sync_engine.run ~n:5 ~t:1 ~protocol:gather ~adversary () in
-  Alcotest.(check (list int)) "blocked" [ 0; 1; 2; 3 ] (Sync_engine.output_of report 0);
+  Alcotest.(check (list int)) "blocked" [ 0; 1; 2; 3 ] (Report.output_of report 0);
   Alcotest.(check (list int)) "not blocked" [ 0; 1; 2; 3; 4 ]
-    (Sync_engine.output_of report 2)
+    (Report.output_of report 2)
 
 (* puppeteer over multiple rounds: victims track state from real traffic *)
 let counter : (int, int, int) Protocol.t =
@@ -117,7 +118,7 @@ let test_spoiler_burns_all_when_iterations_cover_t () =
   List.iter
     (fun (r : Bdh.result) ->
       Alcotest.(check (list int)) "all spoilers blacklisted" [ 7; 8; 9 ] r.blacklisted)
-    (Sync_engine.honest_outputs report)
+    (Report.honest_outputs report)
 
 let test_spoiler_parties_of () =
   Alcotest.(check (list int)) "corruption set" [ 7; 8; 9 ] (Spoiler.parties_of ~n:10 ~t:3);
@@ -136,7 +137,7 @@ let test_relentless_spoiler_never_burns () =
       ()
   in
   let outputs =
-    List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs report)
+    List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs report)
   in
   check "agreement" true (Verdict.spread outputs <= 1.)
 

@@ -4,6 +4,7 @@
 open Aat_engine
 open Aat_async
 open Aat_tree
+module Report = Aat_runtime.Report
 module Rng = Aat_util.Rng
 
 let check = Alcotest.(check bool)
@@ -374,12 +375,12 @@ let async_tree_verdict tree inputs report =
   let honest_inputs =
     Array.to_list (Array.mapi (fun i v -> (i, v)) inputs)
     |> List.filter_map (fun (i, v) ->
-           if List.mem i report.Async_engine.corrupted then None else Some v)
+           if List.mem i report.Report.corrupted then None else Some v)
   in
   let honest_outputs =
     List.map
       (fun (_, (r : Labeled_tree.vertex Async_aa.result)) -> r.value)
-      report.Async_engine.outputs
+      report.Report.outputs
   in
   Aat_treeaa.Tree_verdict.check ~tree ~n_honest:(List.length honest_inputs)
     ~honest_inputs ~honest_outputs

@@ -3,6 +3,7 @@
 
 open Aat_engine
 open Aat_auth
+module Report = Aat_runtime.Report
 module Strategies = Aat_adversary.Strategies
 module Rng = Aat_util.Rng
 
@@ -37,7 +38,7 @@ let run_broadcast ~adversary ~t inputs =
     Auth.Accountable.protocol ~keyring:ring7 ~inputs:(fun i -> inputs.(i))
   in
   let report = Sync_engine.run ~n:7 ~t ~max_rounds:3 ~protocol ~adversary () in
-  Sync_engine.honest_outputs report
+  Report.honest_outputs report
 
 let test_honest_senders_accepted () =
   let inputs = [| 10; 20; 30; 40; 50; 60; 70 |] in

@@ -3,6 +3,7 @@
 
 open Aat_engine
 open Aat_realaa
+module Report = Aat_runtime.Report
 module Strategies = Aat_adversary.Strategies
 module Spoiler = Aat_adversary.Spoiler
 module Rng = Aat_util.Rng
@@ -20,7 +21,7 @@ let run ?(seed = 0) ~n ~t ~eps ~adversary values =
     ~adversary ()
 
 let verdict_of ~eps values (report : (Early_bdh.result, _) Sync_engine.report) =
-  let initially = Sync_engine.initially_corrupted report in
+  let initially = Report.initially_corrupted report in
   let honest_inputs =
     Array.to_list (Array.mapi (fun i v -> (i, v)) values)
     |> List.filter_map (fun (i, v) ->
@@ -32,7 +33,7 @@ let verdict_of ~eps values (report : (Early_bdh.result, _) Sync_engine.report) =
     ~honest_outputs:
       (List.map
          (fun (r : Early_bdh.result) -> r.value)
-         (Sync_engine.honest_outputs report))
+         (Report.honest_outputs report))
 
 let test_fault_free_fast () =
   let values = Array.init 7 (fun i -> float_of_int (1000 * i)) in

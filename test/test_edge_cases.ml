@@ -5,6 +5,7 @@ open Aat_tree
 open Aat_engine
 open Aat_treeaa
 open Aat_realaa
+module Report = Aat_runtime.Report
 module LT = Labeled_tree
 module Strategies = Aat_adversary.Strategies
 module Rng = Aat_util.Rng
@@ -13,7 +14,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let tree_verdict ~tree inputs (report : (_, _) Sync_engine.report) =
-  let initially = Sync_engine.initially_corrupted report in
+  let initially = Report.initially_corrupted report in
   let hull_inputs =
     Array.to_list (Array.mapi (fun i x -> (i, x)) inputs)
     |> List.filter_map (fun (i, x) ->
@@ -22,7 +23,7 @@ let tree_verdict ~tree inputs (report : (_, _) Sync_engine.report) =
   Tree_verdict.check ~tree
     ~n_honest:(Array.length inputs - List.length report.corrupted)
     ~honest_inputs:hull_inputs
-    ~honest_outputs:(Sync_engine.honest_outputs report)
+    ~honest_outputs:(Report.honest_outputs report)
 
 (* --- minimal configurations --- *)
 
@@ -47,7 +48,7 @@ let test_tree_aa_single_party () =
   in
   (* one party: output must be its own input (validity with a single honest
      input pins the hull to {7}) *)
-  Alcotest.(check (list int)) "own input" [ 7 ] (Sync_engine.honest_outputs report)
+  Alcotest.(check (list int)) "own input" [ 7 ] (Report.honest_outputs report)
 
 let test_tree_aa_identical_inputs () =
   (* all honest parties hold the same vertex: the hull is a single vertex,
@@ -59,7 +60,7 @@ let test_tree_aa_identical_inputs () =
   in
   List.iter
     (fun o -> check_int "pinned" 13 o)
-    (Sync_engine.honest_outputs report);
+    (Report.honest_outputs report);
   check "verdict" true (Verdict.all_ok (tree_verdict ~tree inputs report))
 
 let test_tree_aa_adjacent_inputs () =
@@ -72,7 +73,7 @@ let test_tree_aa_adjacent_inputs () =
   in
   List.iter
     (fun o -> check "within the edge" true (o = 20 || o = 21))
-    (Sync_engine.honest_outputs report)
+    (Report.honest_outputs report)
 
 let test_path_aa_two_vertices () =
   let path = Generate.path 2 in
@@ -104,7 +105,7 @@ let test_paths_finder_identical_inputs () =
   let expected = Array.of_list (Rooted.path_to_root rooted target) in
   List.iter
     (fun p -> check "exact path" true (p = expected))
-    (Sync_engine.honest_outputs report)
+    (Report.honest_outputs report)
 
 (* --- engine corner cases --- *)
 
@@ -134,7 +135,7 @@ let test_gradecast_all_leaders_simultaneously () =
         (fun (r : float Aat_gradecast.Gradecast.result) ->
           check "grade 2" true (r.grade = Aat_gradecast.Gradecast.G2);
           check "value" true (r.value = Some (float_of_int (leader * leader))))
-        (Sync_engine.honest_outputs report))
+        (Report.honest_outputs report))
     [ 0; 3; 5 ]
 
 (* --- trim / mean properties --- *)
@@ -202,7 +203,7 @@ let test_simple_wrappers () =
       ~adversary:(Adversary.passive "none") ()
   in
   check "bdh simple outputs floats in range" true
-    (List.for_all (fun v -> v >= 0. && v <= 30.) (Sync_engine.honest_outputs report));
+    (List.for_all (fun v -> v >= 0. && v <= 30.) (Report.honest_outputs report));
   let report2 =
     Sync_engine.run ~n:4 ~t:1 ~max_rounds:5
       ~protocol:
@@ -211,7 +212,7 @@ let test_simple_wrappers () =
       ~adversary:(Adversary.passive "none") ()
   in
   check "naive simple converges" true
-    (Verdict.spread (Sync_engine.honest_outputs report2) <= 30. /. 32.)
+    (Verdict.spread (Report.honest_outputs report2) <= 30. /. 32.)
 
 (* --- gradecast-based midpoint baseline at the resilience boundary --- *)
 
@@ -230,7 +231,7 @@ let test_gc_midpoint_wedge_boundary () =
   let outputs =
     List.map
       (fun (r : Iterated_midpoint.result) -> r.value)
-      (Sync_engine.honest_outputs report)
+      (Report.honest_outputs report)
   in
   check "broken at n=3t" true (Verdict.spread outputs > 1.)
 
@@ -261,7 +262,7 @@ let prop_path_aa_matches_known_path =
       in
       (* On a path, projection is the identity, so the two protocols run the
          same RealAA instance and must output identically. *)
-      Sync_engine.honest_outputs r1 = Sync_engine.honest_outputs r2)
+      Report.honest_outputs r1 = Report.honest_outputs r2)
 
 let () =
   Alcotest.run "edge-cases"

@@ -4,6 +4,7 @@
 
 open Aat_engine
 open Aat_gradecast
+module Report = Aat_runtime.Report
 module Multi = Gradecast.Multi
 module Strategies = Aat_adversary.Strategies
 module Rng = Aat_util.Rng
@@ -19,7 +20,7 @@ let run ~n ~t ~leader ~adversary =
       ~protocol:(Gradecast.protocol ~leader ~inputs ~t)
       ~adversary ()
   in
-  Sync_engine.honest_outputs report
+  Report.honest_outputs report
 
 (* The gradecast properties, as checkers over the honest outcomes. *)
 let validity_holds ~leader_value outcomes =

@@ -61,10 +61,10 @@ let test_async_entry_points () =
       ~reactor:(Bracha.reactor ~sender:0 ~inputs:(fun _ -> 7) ~t:1)
       ~adversary:(fifo ()) ()
   in
-  check_int "bracha: all deliver" 4 (List.length bcast.Async_engine.outputs);
+  check_int "bracha: all deliver" 4 (List.length bcast.Report.outputs);
   List.iter
     (fun (_, v) -> check_int "bracha: sender's value" 7 v)
-    bcast.Async_engine.outputs;
+    bcast.Report.outputs;
   let aa =
     Async_engine.run ~n:4 ~t:1
       ~reactor:
@@ -72,7 +72,7 @@ let test_async_entry_points () =
            ~iterations:3)
       ~adversary:(fifo ()) ()
   in
-  check_int "async real AA: all decide" 4 (List.length aa.Async_engine.outputs);
+  check_int "async real AA: all decide" 4 (List.length aa.Report.outputs);
   let tree = Generate.path 8 in
   let nr =
     Async_engine.run ~n:4 ~t:1
@@ -87,7 +87,7 @@ let test_async_entry_points () =
     (fun (_, (r : Tree.vertex Async_aa.result)) ->
       check "async tree AA: vertex output" true
         (r.Async_aa.value >= 0 && r.Async_aa.value < Tree.n_vertices tree))
-    nr.Async_engine.outputs
+    nr.Report.outputs
 
 let test_adversary_entry_points () =
   (* every adversary module reachable under its umbrella name *)
@@ -171,7 +171,7 @@ let test_telemetry_entry_points () =
     Quick.agree ~tree ~inputs:[| 0; 5; 2; 4 |] ~t:1
       ~telemetry:(Telemetry.Stats.sink stats) ()
   in
-  check_int "stats counted the run" outcome.report.Engine.honest_messages
+  check_int "stats counted the run" outcome.report.Report.honest_messages
     (Telemetry.Stats.total_honest stats);
   check "null sink is recognisable" true
     (Telemetry.Sink.is_null Telemetry.Sink.null)
@@ -183,10 +183,10 @@ let test_report_fields_accessible () =
     Quick.agree ~tree ~inputs ~t:1 ~adversary:(Strategies.silent ~victims:[ 3 ]) ()
   in
   let report = outcome.report in
-  check "messages counted" true (report.Engine.honest_messages > 0);
-  Alcotest.(check (list int)) "corrupted" [ 3 ] report.Engine.corrupted;
+  check "messages counted" true (report.Report.honest_messages > 0);
+  Alcotest.(check (list int)) "corrupted" [ 3 ] report.Report.corrupted;
   check "termination rounds recorded" true
-    (List.length report.Engine.termination_rounds = 3)
+    (List.length report.Report.termination_rounds = 3)
 
 let () =
   Alcotest.run "public-api"

@@ -4,6 +4,7 @@
 
 open Aat_engine
 open Aat_realaa
+module Report = Aat_runtime.Report
 module Strategies = Aat_adversary.Strategies
 module Spoiler = Aat_adversary.Spoiler
 module Wedge = Aat_adversary.Wedge
@@ -183,13 +184,13 @@ let honest_inputs_of values corrupted =
 (* hull inputs: initially-honest; termination count: finally honest *)
 let verdict_of ~eps values (report : (Bdh.result, 'm) Sync_engine.report) =
   let hull_inputs =
-    honest_inputs_of values (Sync_engine.initially_corrupted report)
+    honest_inputs_of values (Report.initially_corrupted report)
   in
   Verdict.real ~eps
     ~n_honest:(Array.length values - List.length report.corrupted)
     ~honest_inputs:hull_inputs
     ~honest_outputs:
-      (List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs report))
+      (List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs report))
 
 let test_bdh_fault_free () =
   let values = [| 0.; 10.; 20.; 30.; 40.; 50.; 60. |] in
@@ -203,7 +204,7 @@ let test_bdh_fault_free () =
      agreement from iteration 1 on *)
   check "exact agreement fault-free" true
     (Verdict.spread
-       (List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs report))
+       (List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs report))
     = 0.)
 
 let test_bdh_silent_byz () =
@@ -243,7 +244,7 @@ let test_bdh_spoiler_within_lemma5 () =
          D / R^R <= eps. *)
       let spread =
         Verdict.spread
-          (List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs report))
+          (List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs report))
       in
       check "spread within eps" true (spread <= 1.))
     [ (7, 2, 60.); (10, 3, 100.); (13, 4, 500.); (7, 2, 1000.) ]
@@ -258,7 +259,7 @@ let test_bdh_spoiler_slower_than_fault_free () =
   in
   let spread =
     Verdict.spread
-      (List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs spoiled))
+      (List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs spoiled))
   in
   check "spoiler causes disagreement after 1 iteration" true (spread > 0.)
 
@@ -271,7 +272,7 @@ let test_bdh_blacklist_reported () =
   (* At least one honest party must have blacklisted at least one spoiler
      (every spent leader is globally convicted). *)
   let blacklists =
-    List.map (fun (r : Bdh.result) -> r.blacklisted) (Sync_engine.honest_outputs report)
+    List.map (fun (r : Bdh.result) -> r.blacklisted) (Report.honest_outputs report)
   in
   check "someone blacklisted" true (List.exists (fun l -> l <> []) blacklists)
 
@@ -282,7 +283,7 @@ let test_bdh_trajectory_monotone_spread () =
   let report =
     run_bdh ~n ~t ~iterations:4 ~adversary:(Spoiler.realaa_spoiler ~t ~iterations:4) values
   in
-  let outputs = Sync_engine.honest_outputs report in
+  let outputs = Report.honest_outputs report in
   let iters = List.length (List.hd outputs).Bdh.trajectory in
   let spreads =
     List.init iters (fun k ->
@@ -310,9 +311,9 @@ let test_naive_fault_free_halving () =
   let outputs =
     List.map
       (fun (r : Iterated_midpoint.result) -> r.value)
-      (Sync_engine.honest_outputs report)
+      (Report.honest_outputs report)
   in
-  let hull_inputs = honest_inputs_of values (Sync_engine.initially_corrupted report) in
+  let hull_inputs = honest_inputs_of values (Report.initially_corrupted report) in
   check "verdict" true
     (Verdict.all_ok
        (Verdict.real ~eps:1.
@@ -329,7 +330,7 @@ let test_naive_halving_under_wedge_above_threshold () =
   let outputs =
     List.map
       (fun (r : Iterated_midpoint.result) -> r.value)
-      (Sync_engine.honest_outputs report)
+      (Report.honest_outputs report)
   in
   check "wedge fails at n=3t+1" true (Verdict.spread outputs <= 64. /. 512.)
 
@@ -341,7 +342,7 @@ let test_naive_wedge_breaks_at_boundary () =
   let outputs =
     List.map
       (fun (r : Iterated_midpoint.result) -> r.value)
-      (Sync_engine.honest_outputs report)
+      (Report.honest_outputs report)
   in
   check "still split after 20 iterations" true (Verdict.spread outputs >= 32.)
 
@@ -360,9 +361,9 @@ let test_gradecast_midpoint_converges () =
   let outputs =
     List.map
       (fun (r : Iterated_midpoint.result) -> r.value)
-      (Sync_engine.honest_outputs report)
+      (Report.honest_outputs report)
   in
-  let hull_inputs = honest_inputs_of values (Sync_engine.initially_corrupted report) in
+  let hull_inputs = honest_inputs_of values (Report.initially_corrupted report) in
   check "verdict" true
     (Verdict.all_ok
        (Verdict.real ~eps:1.
@@ -382,7 +383,7 @@ let test_bdh_wedge_breaks_at_boundary () =
       ()
   in
   let outputs =
-    List.map (fun (r : Bdh.result) -> r.value) (Sync_engine.honest_outputs report)
+    List.map (fun (r : Bdh.result) -> r.value) (Report.honest_outputs report)
   in
   check "agreement broken at n=3t" true (Verdict.spread outputs > 1.)
 

@@ -106,7 +106,7 @@ let letter src dst body = { Types.src; dst; body }
 
 let test_mailbox_dedup_and_inbox_order () =
   let mb : int Runtime.Mailbox.t = Runtime.Mailbox.create ~n:4 in
-  Runtime.Mailbox.begin_round mb;
+  Runtime.Mailbox.begin_round ~round:1 mb;
   Runtime.Mailbox.post mb (letter 2 0 20);
   Runtime.Mailbox.post mb (letter 1 0 10);
   Runtime.Mailbox.post mb (letter 2 0 99);
@@ -120,7 +120,7 @@ let test_mailbox_dedup_and_inbox_order () =
        (Runtime.Inbox.to_list (Runtime.Mailbox.inbox mb 0)));
   check_int "delivered this round" 3
     (List.length (Runtime.Mailbox.delivered mb));
-  Runtime.Mailbox.begin_round mb;
+  Runtime.Mailbox.begin_round ~round:2 mb;
   check_int "round state reset" 0
     (List.length (Runtime.Inbox.to_list (Runtime.Mailbox.inbox mb 0)));
   (* last-submitted-wins posting: the adversary's final double-send

@@ -48,10 +48,10 @@ let prop_stats_match_report =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let stats, report = run_with_stats seed in
-      Telemetry.Stats.total_honest stats = report.Engine.honest_messages
+      Telemetry.Stats.total_honest stats = report.Report.honest_messages
       && Telemetry.Stats.total_adversary stats
-         = report.Engine.adversary_messages
-      && Telemetry.Stats.rounds stats >= report.Engine.rounds_used
+         = report.Report.adversary_messages
+      && Telemetry.Stats.rounds stats >= report.Report.rounds_used
       && (* within each round, per-party attribution is complete *)
       List.for_all
         (fun (e : Telemetry.event) ->
@@ -62,8 +62,8 @@ let prop_stats_match_report =
       match Telemetry.Stats.summary stats with
       | None -> false
       | Some s ->
-          s.honest_messages = report.Engine.honest_messages
-          && s.adversary_messages = report.Engine.adversary_messages)
+          s.honest_messages = report.Report.honest_messages
+          && s.adversary_messages = report.Report.adversary_messages)
 
 (* property: honest-hull diameter never grows round over round (Lemma 6:
    honest values stay within the honest range; the trimmed mean contracts) *)
@@ -150,9 +150,9 @@ let test_jsonl_round_trip () =
   (* last line: the summary, matching the report *)
   let stop = List.nth jsons (List.length jsons - 1) in
   Alcotest.(check string) "stop line" "stop" (str_field "type" stop);
-  check_int "stop honest total" report.Engine.honest_messages
+  check_int "stop honest total" report.Report.honest_messages
     (int_field "honest_messages" stop);
-  check_int "stop adversary total" report.Engine.adversary_messages
+  check_int "stop adversary total" report.Report.adversary_messages
     (int_field "adversary_messages" stop);
   (* middle lines: rounds, contiguous from 1, sums matching the report *)
   let rounds =
@@ -164,10 +164,10 @@ let test_jsonl_round_trip () =
     (fun i j -> check_int "rounds contiguous from 1" (i + 1) (int_field "round" j))
     rounds;
   check_int "per-round honest sums to report"
-    report.Engine.honest_messages
+    report.Report.honest_messages
     (List.fold_left (fun acc j -> acc + int_field "honest_msgs" j) 0 rounds);
   check_int "per-round adversary sums to report"
-    report.Engine.adversary_messages
+    report.Report.adversary_messages
     (List.fold_left (fun acc j -> acc + int_field "adversary_msgs" j) 0 rounds)
 
 (* ------------------------------------------------------------------ *)
@@ -188,26 +188,26 @@ let test_null_sink_identical_report () =
   let sunk = run (Some (Telemetry.Stats.sink stats)) in
   List.iter
     (fun (name, r) ->
-      check (name ^ ": outputs") true (r.Engine.outputs = bare.Engine.outputs);
+      check (name ^ ": outputs") true (r.Report.outputs = bare.Report.outputs);
       check
         (name ^ ": termination rounds")
         true
-        (r.Engine.termination_rounds = bare.Engine.termination_rounds);
-      check_int (name ^ ": rounds used") bare.Engine.rounds_used
-        r.Engine.rounds_used;
+        (r.Report.termination_rounds = bare.Report.termination_rounds);
+      check_int (name ^ ": rounds used") bare.Report.rounds_used
+        r.Report.rounds_used;
       check (name ^ ": corrupted") true
-        (r.Engine.corrupted = bare.Engine.corrupted);
+        (r.Report.corrupted = bare.Report.corrupted);
       check
         (name ^ ": corruption rounds")
         true
-        (r.Engine.corruption_rounds = bare.Engine.corruption_rounds);
-      check_int (name ^ ": honest messages") bare.Engine.honest_messages
-        r.Engine.honest_messages;
-      check_int (name ^ ": adversary messages") bare.Engine.adversary_messages
-        r.Engine.adversary_messages;
+        (r.Report.corruption_rounds = bare.Report.corruption_rounds);
+      check_int (name ^ ": honest messages") bare.Report.honest_messages
+        r.Report.honest_messages;
+      check_int (name ^ ": adversary messages") bare.Report.adversary_messages
+        r.Report.adversary_messages;
       check_int
         (name ^ ": rejected forgeries")
-        bare.Engine.rejected_forgeries r.Engine.rejected_forgeries)
+        bare.Report.rejected_forgeries r.Report.rejected_forgeries)
     [ ("null sink", nulled); ("stats sink", sunk) ]
 
 (* ------------------------------------------------------------------ *)
@@ -265,9 +265,9 @@ let test_async_stats () =
       ~telemetry:(Telemetry.Stats.sink stats)
       ~telemetry_stride:64 ()
   in
-  check_int "chunk totals = honest messages" report.Async_engine.honest_messages
+  check_int "chunk totals = honest messages" report.Report.honest_messages
     (Telemetry.Stats.total_honest stats);
-  check_int "chunk totals = injected" report.Async_engine.adversary_messages
+  check_int "chunk totals = injected" report.Report.adversary_messages
     (Telemetry.Stats.total_adversary stats);
   check "chunks emitted" true (Telemetry.Stats.rounds stats > 0);
   check "chunk indices contiguous from 1" true

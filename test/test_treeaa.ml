@@ -5,6 +5,7 @@
 open Aat_tree
 open Aat_engine
 open Aat_treeaa
+module Report = Aat_runtime.Report
 module LT = Labeled_tree
 module Strategies = Aat_adversary.Strategies
 module Spoiler = Aat_adversary.Spoiler
@@ -25,16 +26,16 @@ let v t l = LT.vertex_of_label t l
 
 (* Validity's hull is over *initially*-honest inputs (a party corrupted
    adaptively mid-run contributed its input while honest — see
-   Sync_engine.initially_corrupted); Termination and Agreement quantify over
+   Report.initially_corrupted); Termination and Agreement quantify over
    finally-honest parties. *)
 let honest_io inputs (report : (_, _) Sync_engine.report) =
-  let initially = Sync_engine.initially_corrupted report in
+  let initially = Report.initially_corrupted report in
   let hull_inputs =
     Array.to_list (Array.mapi (fun i x -> (i, x)) inputs)
     |> List.filter_map (fun (i, x) ->
            if List.mem i initially then None else Some x)
   in
-  (hull_inputs, Sync_engine.honest_outputs report)
+  (hull_inputs, Report.honest_outputs report)
 
 let tree_verdict ~tree inputs (report : (_, _) Sync_engine.report) =
   let hull_inputs, honest_outputs = honest_io inputs report in
@@ -151,7 +152,7 @@ let test_known_path_aa_fig2 () =
   (* outputs must lie on the path *)
   List.iter
     (fun o -> check "on path" true (Paths.mem path o))
-    (Sync_engine.honest_outputs report)
+    (Report.honest_outputs report)
 
 let test_known_path_aa_rejects_non_path () =
   let tree = fig2 () in
@@ -221,7 +222,7 @@ let test_paths_finder_trivial_tree () =
   in
   List.iter
     (fun p -> check_int "root path" 1 (Array.length p))
-    (Sync_engine.honest_outputs report)
+    (Report.honest_outputs report)
 
 (* --- TreeAA (§7): Theorem 4 --- *)
 
@@ -445,7 +446,7 @@ let test_round_allocation () =
       let report = Tree_aa.run ~seed:1 ~tree ~inputs ~t:4 ~adversary () in
       let words = Gc.minor_words () -. before in
       let letters =
-        report.Sync_engine.honest_messages + report.Sync_engine.adversary_messages
+        report.Report.honest_messages + report.Report.adversary_messages
       in
       let per_letter = words /. float_of_int letters in
       if per_letter > 20. then
