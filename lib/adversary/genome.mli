@@ -96,11 +96,6 @@ val select_victims : n:int -> victims -> Types.party_id list
 (** [Top]: the [count] highest ids; [Bottom]: the lowest; [Spread]:
     evenly spaced. [count] is clamped to [n]. *)
 
-val compile_attack :
-  n:int -> t:int -> iterations:int -> attack -> float Gradecast.Multi.msg Adversary.t
-(** One attack slot against a gradecast-wire protocol; [iterations] is
-    the schedule length the spoiler spreads its burn budget over. *)
-
 val compile_real :
   n:int -> t:int -> iterations:int -> t -> float Gradecast.Multi.msg Adversary.t
 (** Single-phase protocols (RealAA, iterated midpoint, PathAA phase):

@@ -41,13 +41,9 @@ val run_captured : capture:bool -> (unit -> unit) -> table list
 (** Run one table group; with [capture] also record every table it
     prints and return them in print order (otherwise [[]]). *)
 
-val group_json : name:string -> table list -> Aat_telemetry.Jsonx.t
-(** The BENCH_<name>.json document for a captured group: stable field
-    order, tables in print order. *)
-
 val render_group : name:string -> table list -> string
-(** The exact file bytes: rendered {!group_json} plus a trailing
-    newline. *)
+(** The exact BENCH_<name>.json file bytes for a captured group: stable
+    field order, tables in print order, and a trailing newline. *)
 
 type drift = {
   path : string;

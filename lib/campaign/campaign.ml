@@ -126,13 +126,15 @@ module Spec = struct
             else Ok ())
 
   (* A NaN or infinite range or eps reaches [Rounds] at instantiation,
-     where it used to spin [bdh_iterations] forever: reject it here, with
-     the rest of the spec's errors. *)
+     where it used to spin [bdh_iterations] forever, and an eps <= 0 made
+     every task raise there: reject both here, with the rest of the spec's
+     errors. *)
   let validate_reals s =
     let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
     match (s.protocol, s.inputs) with
-    | (Real_aa { eps } | Iterated_midpoint { eps }), _ when not (Float.is_finite eps) ->
-        err "eps must be finite (got %g)" eps
+    | (Real_aa { eps } | Iterated_midpoint { eps }), _
+      when not (Float.is_finite eps && eps > 0.) ->
+        err "eps must be finite and positive (got %g)" eps
     | _, Linspace_reals d when not (Float.is_finite d) ->
         err "linspace range must be finite (got %g)" d
     | _, Log_uniform_reals { log10_min; log10_max }

@@ -103,10 +103,6 @@ module Spec : sig
 
   val protocol_label : protocol -> string
 
-  val sync_protocol : protocol -> bool
-  (** Whether the protocol runs on the synchronous engine (everything but
-      the two async runners). *)
-
   val validate : t -> (unit, string) result
   (** Static checks: repetitions non-negative, adversary family compatible
       with the protocol's wire type, input distribution compatible with

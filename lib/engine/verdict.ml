@@ -41,12 +41,6 @@ let graded_label = function
   | Violated _ -> "violated"
   | Excused _ -> "excused"
 
-let pp_graded fmt = function
-  | Passed -> Format.pp_print_string fmt "passed"
-  | Violated v -> Format.fprintf fmt "violated (%a)" pp v
-  | Excused { reason; verdict } ->
-      Format.fprintf fmt "excused (%a): %s" pp verdict reason
-
 let spread = function
   | [] -> 0.
   | x :: xs ->

@@ -44,8 +44,6 @@ val grade : n:int -> t:int -> faulty:int -> ?excuse:string -> t -> graded
 val graded_label : graded -> string
 (** ["passed"] / ["violated"] / ["excused"] — the campaign JSONL tags. *)
 
-val pp_graded : Format.formatter -> graded -> unit
-
 val real :
   eps:float -> n_honest:int -> honest_inputs:float list ->
   honest_outputs:float list -> t

@@ -4,8 +4,6 @@ type grade = G0 | G1 | G2
 
 let grade_to_int = function G0 -> 0 | G1 -> 1 | G2 -> 2
 
-let pp_grade fmt g = Format.fprintf fmt "%d" (grade_to_int g)
-
 type 'v result = { value : 'v option; grade : grade }
 
 module Multi = struct

@@ -30,8 +30,6 @@ type grade = G0 | G1 | G2
 
 val grade_to_int : grade -> int
 
-val pp_grade : Format.formatter -> grade -> unit
-
 type 'v result = { value : 'v option; grade : grade }
 (** [value] is [None] iff [grade = G0]. *)
 

@@ -47,6 +47,3 @@ let theorem2_closed_form ~n ~t ~d =
     let delta = float_of_int (n + t) /. float_of_int t in
     let denom = Float.log2 (Float.log2 d) +. Float.log2 delta in
     if denom <= 0. then 0. else Float.log2 d /. denom
-
-let tree_min_rounds ~n ~t ~tree =
-  min_rounds ~n ~t ~d:(float_of_int (Aat_tree.Metrics.diameter tree)) ~eps:1.

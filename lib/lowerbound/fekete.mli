@@ -50,7 +50,3 @@ val theorem2_closed_form : n:int -> t:int -> d:float -> float
 (** The closed form [log2 d / (log2 log2 d + log2 ((n+t)/t))] of Theorem 2
     (a lower-bound estimate of {!min_rounds}; clamped to 0 for degenerate
     parameters). *)
-
-val tree_min_rounds : n:int -> t:int -> tree:Aat_tree.Labeled_tree.t -> int
-(** Corollary 1 + Theorem 2 instantiated on a concrete input-space tree:
-    {!min_rounds} at [d = D(T)] and [eps = 1] (1-Agreement). *)

@@ -64,7 +64,6 @@ val failing_cells : Aat_campaign.Campaign.result -> (int * t) list
 
 (** {1 Serialization} *)
 
-val to_lines : t -> Aat_telemetry.Jsonx.t list
 val to_string : t -> string
 val write_file : string -> t -> unit
 

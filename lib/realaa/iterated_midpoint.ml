@@ -151,10 +151,3 @@ let run_naive ?(seed = 0) ?telemetry ~inputs ~t ~iterations ~adversary () =
     ~max_rounds:(max 1 iterations)
     ~protocol:(naive ~inputs:(fun self -> inputs.(self)) ~t ~iterations)
     ~adversary ()
-
-let run_gradecast ?(seed = 0) ?telemetry ~inputs ~t ~iterations ~adversary () =
-  let n = Array.length inputs in
-  Sync_engine.run ~n ~t ~seed ?telemetry ~observe:observe_gradecast
-    ~max_rounds:(max 1 (3 * iterations))
-    ~protocol:(with_gradecast ~inputs:(fun self -> inputs.(self)) ~t ~iterations)
-    ~adversary ()

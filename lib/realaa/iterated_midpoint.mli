@@ -49,10 +49,8 @@ val naive_simple :
   iterations:int ->
   (naive_state, float, float) Protocol.t
 
-val observe_naive : naive_state -> float option
-(** The party's current value — convergence snapshots for telemetry. *)
-
 val observe_gradecast : gc_state -> float option
+(** The party's current value — convergence snapshots for telemetry. *)
 
 val run_naive :
   ?seed:int ->
@@ -65,15 +63,3 @@ val run_naive :
   (result, float) Sync_engine.report
 (** Unified Runner signature over {!naive}: [inputs.(i)] is party [i]'s
     input, [max_rounds] pinned to the [iterations]-round schedule. *)
-
-val run_gradecast :
-  ?seed:int ->
-  ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  inputs:float array ->
-  t:int ->
-  iterations:int ->
-  adversary:float Gradecast.Multi.msg Adversary.t ->
-  unit ->
-  (result, float Gradecast.Multi.msg) Sync_engine.report
-(** Unified Runner signature over {!with_gradecast} ([3 * iterations]
-    rounds). *)

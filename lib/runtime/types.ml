@@ -5,5 +5,3 @@ type round = int
 type 'msg envelope = { sender : party_id; payload : 'msg }
 
 type 'msg letter = { src : party_id; dst : party_id; body : 'msg }
-
-let pp_party fmt p = Format.fprintf fmt "p%d" p

@@ -21,5 +21,3 @@ type 'msg envelope = { sender : party_id; payload : 'msg }
 type 'msg letter = { src : party_id; dst : party_id; body : 'msg }
 (** An in-flight message: what a party (or the adversary, on behalf of a
     corrupted party) hands to the network for delivery. *)
-
-val pp_party : Format.formatter -> party_id -> unit

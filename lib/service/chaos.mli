@@ -43,9 +43,6 @@ type t = {
 val none : t
 (** The empty plan: {!apply} degenerates to a plain write. *)
 
-val is_none : t -> bool
-(** Ignores [seed]: a plan with no active fault kinds is empty. *)
-
 val parse : string -> (t, string) result
 (** Parse the plan grammar above. Probabilities must lie in [[0,1]],
     the stall duration must be non-negative. *)

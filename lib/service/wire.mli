@@ -16,17 +16,12 @@
     magic bytes are outside the ASCII range, so a resynchronization scan
     can never mistake JSON payload text for a frame boundary. *)
 
-val max_frame : int
-(** Upper bound on a payload; a length field beyond it is treated as
-    corruption ({!Reader.Oversized_frame}), not as a real message. *)
-
 val encode : string -> Bytes.t
 (** [encode payload] is the complete frame: magic, length, CRC32,
-    payload. Raises [Invalid_argument] beyond {!max_frame} — a local
-    caller bug, not a wire condition. *)
-
-val crc32_string : string -> int32
-(** The frame checksum (exposed for tests). *)
+    payload. A payload is at most 64 MiB: a longer one raises
+    [Invalid_argument] — a local caller bug, not a wire condition — and
+    a length field beyond it is read as corruption
+    ({!Reader.Oversized_frame}), not as a real message. *)
 
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Write [len] bytes at [off], retrying on partial writes and [EINTR].
@@ -48,13 +43,12 @@ module Reader : sig
         (** bytes skipped before a frame boundary (torn frame tails,
             noise, foreign writers) *)
     | Oversized_frame of int
-        (** a length field outside [[0, max_frame]] — a corrupted
+        (** a length field outside [[0, 64 MiB]] — a corrupted
             header *)
     | Checksum_mismatch of { expected : int32; received : int32 }
         (** the payload does not hash to the header's CRC32 — a
             corrupted or torn frame *)
 
-  val pp_error : Format.formatter -> error -> unit
   val error_to_string : error -> string
 
   type t

@@ -164,8 +164,6 @@ let equal a b =
   && a.labels = b.labels
   && a.adj = b.adj
 
-let pp_vertex t fmt v = Format.pp_print_string fmt t.labels.(v)
-
 let pp fmt t =
   let pp_edge fmt (u, v) =
     Format.fprintf fmt "%s-%s" t.labels.(u) t.labels.(v)

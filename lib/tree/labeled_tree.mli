@@ -89,6 +89,3 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Compact rendering, e.g. [tree{a-b; b-c}]. *)
-
-val pp_vertex : t -> Format.formatter -> vertex -> unit
-(** Prints the vertex label. *)

@@ -9,14 +9,11 @@ val diameter : Labeled_tree.t -> int
 (** [D(T)] = {!Labeled_tree.diameter}, computed once per tree when it is
     built. 0 for the single vertex. *)
 
-val diameter_endpoints :
-  Labeled_tree.t -> Labeled_tree.vertex * Labeled_tree.vertex
-(** Endpoints of one longest path, deterministic (label-order tie-breaks).
-    These are the [D(T)]-distant vertices used as the inputs [a, b] of the
-    lower-bound construction (Corollary 1). *)
-
 val longest_path : Labeled_tree.t -> Paths.path
-(** One longest path, from the lower-labeled endpoint. *)
+(** One longest path, from the lower-labeled endpoint, deterministic
+    (label-order tie-breaks). Its endpoints are the [D(T)]-distant
+    vertices used as the inputs [a, b] of the lower-bound construction
+    (Corollary 1). *)
 
 val eccentricity : Labeled_tree.t -> Labeled_tree.vertex -> int
 (** Largest distance from the vertex to any other. *)

@@ -299,13 +299,20 @@ let test_validate () =
             inputs = Campaign.Spec.Random_vertices;
           }));
   (* A NaN or infinite range or eps used to pass and then hang
-     instantiation in [Rounds.bdh_iterations]. *)
+     instantiation in [Rounds.bdh_iterations]; an eps <= 0 passed and then
+     errored every task there. *)
   List.iter
     (fun (name, spec) -> check name false (ok (Campaign.Spec.validate spec)))
     [
       ("nan eps", { base with protocol = Campaign.Spec.Real_aa { eps = Float.nan } });
       ( "infinite eps",
         { base with protocol = Campaign.Spec.Iterated_midpoint { eps = Float.infinity } } );
+      ("realaa eps 0", { base with protocol = Campaign.Spec.Real_aa { eps = 0. } });
+      ("realaa eps -1", { base with protocol = Campaign.Spec.Real_aa { eps = -1. } });
+      ( "iterated-midpoint eps 0",
+        { base with protocol = Campaign.Spec.Iterated_midpoint { eps = 0. } } );
+      ( "iterated-midpoint eps -1",
+        { base with protocol = Campaign.Spec.Iterated_midpoint { eps = -1. } } );
       ("nan linspace", { base with inputs = Campaign.Spec.Linspace_reals Float.nan });
       ( "infinite linspace",
         { base with inputs = Campaign.Spec.Linspace_reals Float.infinity } );
