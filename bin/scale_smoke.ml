@@ -4,7 +4,7 @@
    distributes values by gradecast, whose Θ(n)-array payloads and Θ(n²)
    per-party plurality scans swamp the transport at this size — fine for
    the protocols, useless as a transport smoke. So this driver goes to
-   the engine directly: streamed-path sends, a seeded omission + crash
+   the engine directly: a passive adversary, a seeded omission + crash
    plan compiled onto the mailbox, and the structural checks a lossy
    plan still owes us (termination inside the round budget, outputs
    inside the honest input hull, crash accounting). Exits non-zero on

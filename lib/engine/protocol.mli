@@ -31,8 +31,7 @@ type ('state, 'msg, 'out) t = {
           pair a round. When a [To] list names a recipient more than once,
           every letter counts as sent and the recipient gets the first of
           them: the first the fault filter lets through on the synchronous
-          engine (its passive and full send paths alike), the first listed
-          under [Aat_async.Round_sim]. *)
+          engine, the first listed under [Aat_async.Round_sim]. *)
   receive :
     round:Types.round -> self:Types.party_id -> inbox:'msg Inbox.t ->
     'state -> 'state;

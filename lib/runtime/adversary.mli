@@ -53,9 +53,10 @@ type 'msg t = {
   name : string;
   passive : bool;
       (** Declares the strategy observably inert: it never corrupts and
-          never sends, {e and does not read its view} — so engines may
-          skip materialising the view (outbox reversal, corruption-flag
-          copies) entirely. Only {!passive} sets this; a
+          never sends, {e and does not read its view}. Only the
+          asynchronous engine reads it, to skip building a view per
+          delivery event; the synchronous engine runs every adversary
+          the same way. Only {!passive} sets this; a
           passive-by-construction custom strategy that still inspects its
           view must leave it [false]. *)
   reads_history : bool;

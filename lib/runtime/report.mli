@@ -49,18 +49,29 @@ type ('out, 'msg) t = {
   outputs : (Types.party_id * 'out) list;
       (** finally-honest parties' decisions, ascending by party *)
   termination_rounds : (Types.party_id * Types.round) list;
-      (** when each finally-honest party decided *)
+      (** when each finally-honest party decided: the round at the end of
+          which it decided (sync) or the delivery event at which it did
+          (async); [0] for a party that decided at initialization *)
   rounds_used : int;
       (** rounds (sync) or delivery events (async) consumed by the run *)
   corrupted : Types.party_id list;  (** final corruption set, ascending *)
   corruption_rounds : (Types.party_id * Types.round) list;
-      (** when each corrupted party fell; [0] = initially corrupted *)
-  honest_messages : int;
+      (** when each corrupted party fell (round or delivery event); [0] =
+          initially corrupted. Needed to state Validity correctly under
+          the adaptive adversary: a party corrupted at [r >= 1]
+          contributed its input while honest, so the provable hull
+          (Lemmas 5–6) is over the inputs of {e initially}-honest
+          parties, while Termination and Agreement quantify over
+          {e finally}-honest parties. *)
+  honest_messages : int;  (** total letters sent by honest parties *)
   adversary_messages : int;
+      (** total adversary letters that survived forgery screening *)
   rejected_forgeries : int;
+      (** adversary letters dropped for claiming an honest sender *)
   trace : 'msg Types.letter list list;
-      (** delivered letters, oldest group first; [[]] unless recording was
-          requested *)
+      (** delivered letters, oldest group first: one list per round
+          (sync) or one singleton per delivery event (async); [[]] unless
+          [~record_trace:true] *)
   fault_stats : fault_stats;
       (** injected-fault accounting; {!no_faults} on a benign run *)
   watchdog_violations : Watchdog.violation list;

@@ -234,11 +234,11 @@ let check_golden ~specs ~n expected =
 let test_goldens_n7 () =
   check_golden ~specs:(golden_specs ~n:7 ~t:2) ~n:7 golden_n7
 
-(* Fault-plan cells, watchdogs on. The passive cells pin the streamed
-   send path with a mid-run crash and omission, the silent-adversary
-   cells the full path (three crash victims, so at least one is honest
-   whichever two parties the adversary silences), async-tree-aa the
-   async engine's crash handling. Recorded while a crash still retracted
+(* Fault-plan cells, watchdogs on. The passive cells pin the send path
+   with a mid-run crash and omission, the silent-adversary cells the
+   same path under corruptions (three crash victims, so at least one is
+   honest whichever two parties the adversary silences), async-tree-aa
+   the async engine's crash handling. Recorded while a crash still retracted
    the crashing party's letters after its send; landing the crash before
    the send must give the same bytes. *)
 let golden_fault_specs ~n ~t =
@@ -280,7 +280,7 @@ let golden_faults_n7 =
 let test_fault_goldens_n7 () =
   check_golden ~specs:(golden_fault_specs ~n:7 ~t:2) ~n:7 golden_faults_n7
 
-(* Spoiler cells, watchdogs on: the full send path under the phased
+(* Spoiler cells, watchdogs on: the send path under the phased
    tree spoiler and the RealAA spoiler. The outcome digest pins what
    honest parties decided; the md5 of the whole record also pins every
    round's telemetry, [adversary_bytes] included, so a change to how the
@@ -324,7 +324,7 @@ let test_spoiler_goldens_n7 () =
   check_record_goldens ~what:"spoiler" (golden_spoiler_specs ~n:7 ~t:2)
     golden_spoiler_n7
 
-(* Omission cells on the full send path, pinned like the spoiler cells.
+(* Omission cells on the send path, pinned like the spoiler cells.
    Under the tree spoiler, Byzantine and honest letters cross one fault
    filter, so the record pins the order of its draws across both; the
    crash adversary corrupts live parties mid-run and retracts the
