@@ -107,8 +107,8 @@ module Trace = Aat_obs.Trace
 module Recorder = Aat_obs.Recorder
 module Replay = Aat_obs.Replay
 
-(* service observability: the metrics registry and the span tracer
-   ([Metrics] names the tree-metric module above, so the registry is
+(* service observability: metric snapshots and the span tracer
+   ([Metrics] names the tree-metric module above, so the snapshots are
    exported under the Obs_ prefix; [Obs.Metrics]/[Obs.Span] also work) *)
 module Obs = Aat_obs
 module Obs_metrics = Aat_obs.Metrics

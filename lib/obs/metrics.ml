@@ -1,104 +1,7 @@
 module Json = Aat_telemetry.Jsonx
 
-(* ------------------------------------------------------------------ *)
-(* registry *)
-
-type cell =
-  | Ccounter of { mutable c : float }
-  | Cgauge of { mutable g : float }
-  | Chist of {
-      bounds : float array;
-      counts : int array;
-      mutable overflow : int;
-      mutable sum : float;
-      mutable count : int;
-    }
-
-type key = string * (string * string) list
-
-type live = { mutex : Mutex.t; table : (key, cell) Hashtbl.t }
-type t = Null_reg | Live of live
-
-let null = Null_reg
-let is_null = function Null_reg -> true | Live _ -> false
-let create () = Live { mutex = Mutex.create (); table = Hashtbl.create 64 }
-
 let sort_labels labels =
   List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
-
-(* a handle is the registry mutex plus the cell it updates; [None] under
-   the null registry, so the hot path is one pattern match *)
-type counter = (Mutex.t * cell) option
-type gauge = (Mutex.t * cell) option
-type histogram = (Mutex.t * cell) option
-
-let default_buckets = [ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
-
-let mint reg ?(labels = []) name fresh =
-  match reg with
-  | Null_reg -> None
-  | Live { mutex; table } ->
-      let key = (name, sort_labels labels) in
-      Mutex.lock mutex;
-      let cell =
-        match Hashtbl.find_opt table key with
-        | Some c -> c
-        | None ->
-            let c = fresh () in
-            Hashtbl.add table key c;
-            c
-      in
-      Mutex.unlock mutex;
-      Some (mutex, cell)
-
-let counter reg ?labels name =
-  mint reg ?labels name (fun () -> Ccounter { c = 0. })
-
-let gauge reg ?labels name = mint reg ?labels name (fun () -> Cgauge { g = 0. })
-
-let histogram reg ?labels ?(buckets = default_buckets) name =
-  mint reg ?labels name (fun () ->
-      let bounds = Array.of_list (List.sort_uniq Float.compare buckets) in
-      Chist
-        {
-          bounds;
-          counts = Array.make (Array.length bounds) 0;
-          overflow = 0;
-          sum = 0.;
-          count = 0;
-        })
-
-let locked handle f =
-  match handle with
-  | None -> ()
-  | Some (mutex, cell) ->
-      Mutex.lock mutex;
-      f cell;
-      Mutex.unlock mutex
-
-let add h delta =
-  let delta = if delta < 0. then 0. else delta in
-  locked h (function Ccounter c -> c.c <- c.c +. delta | _ -> ())
-
-let incr h = add h 1.
-let set h v = locked h (function Cgauge g -> g.g <- v | _ -> ())
-
-let max_gauge h v =
-  locked h (function Cgauge g -> g.g <- Float.max g.g v | _ -> ())
-
-let observe h v =
-  locked h (function
-    | Chist hd ->
-        let n = Array.length hd.bounds in
-        let rec place i =
-          if i >= n then hd.overflow <- hd.overflow + 1
-          else if v <= hd.bounds.(i) then hd.counts.(i) <- hd.counts.(i) + 1
-          else place (i + 1)
-        in
-        place 0;
-        hd.sum <- hd.sum +. v;
-        hd.count <- hd.count + 1
-    | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* snapshots *)
@@ -320,101 +223,84 @@ module Snapshot = struct
     Buffer.contents buf
 end
 
-let snapshot = function
-  | Null_reg -> []
-  | Live { mutex; table } ->
-      Mutex.lock mutex;
-      let series =
-        Hashtbl.fold
-          (fun (name, labels) cell acc ->
-            let value =
-              match cell with
-              | Ccounter c -> Snapshot.Counter c.c
-              | Cgauge g -> Snapshot.Gauge g.g
-              | Chist h ->
-                  Snapshot.Histogram
-                    {
-                      bounds = Array.to_list h.bounds;
-                      counts = Array.to_list h.counts;
-                      overflow = h.overflow;
-                      sum = h.sum;
-                      count = h.count;
-                    }
-            in
-            { Snapshot.name; labels; value } :: acc)
-          table []
-      in
-      Mutex.unlock mutex;
-      Snapshot.of_list series
-
 (* ------------------------------------------------------------------ *)
-(* campaign-cell accounting *)
+(* campaign series: each cell contributes its own series, and
+   [Snapshot.of_list] sums the counters and histograms and keeps the
+   largest spread *)
 
-let bool_field j name default =
-  match Json.member name j with Some (Json.Bool b) -> b | _ -> default
+let rounds_buckets = [ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
 
-let int_field j name = Option.bind (Json.member name j) Json.to_int
-let str_field j name = Option.bind (Json.member name j) Json.to_str
+(* one observation of [r]: a 1 in the first bucket whose bound is >= r,
+   or in the +Inf bucket past the last *)
+let rounds_used r =
+  let v = float_of_int r in
+  let rec place lower = function
+    | [] -> []
+    | b :: rest -> (if lower < v && v <= b then 1 else 0) :: place b rest
+  in
+  let counts = place neg_infinity rounds_buckets in
+  let overflow = 1 - List.fold_left ( + ) 0 counts in
+  Snapshot.Histogram
+    { bounds = rounds_buckets; counts; overflow; sum = v; count = 1 }
 
-let record_cell reg payload =
-  match reg with
-  | Null_reg -> ()
-  | Live _ -> (
-      incr (counter reg "campaign_cells_total");
-      match payload with
-      | Error _ ->
-          incr (counter reg "campaign_cell_errors_total");
-          incr
-            (counter reg ~labels:[ ("status", "engine-error") ]
-               "campaign_statuses_total")
-      | Ok j ->
-          let all_ok =
-            bool_field j "termination" true
-            && bool_field j "validity" true
-            && bool_field j "agreement" true
-          in
-          let excused = str_field j "grade" = Some "excused" in
-          let grade =
-            if excused then "excused" else if all_ok then "passed" else "violated"
-          in
-          incr (counter reg ~labels:[ ("grade", grade) ] "campaign_grades_total");
-          let status = Option.value (str_field j "status") ~default:"completed" in
-          incr
-            (counter reg ~labels:[ ("status", status) ] "campaign_statuses_total");
-          (match int_field j "rounds_used" with
-          | Some r ->
-              add (counter reg "campaign_rounds_total") (float_of_int r);
-              observe (histogram reg "campaign_rounds_used") (float_of_int r)
-          | None -> ());
-          (match int_field j "honest_messages" with
-          | Some m -> add (counter reg "campaign_honest_messages_total") (float_of_int m)
-          | None -> ());
-          (match int_field j "adversary_messages" with
-          | Some m ->
-              add (counter reg "campaign_adversary_messages_total") (float_of_int m)
-          | None -> ());
-          (match Json.member "faults" j with
+let cell_series payload =
+  let count ?labels name v =
+    Snapshot.series ?labels name (Counter (float_of_int v))
+  in
+  let outcome =
+    match payload with
+    | Error _ ->
+        [
+          count "campaign_cell_errors_total" 1;
+          count ~labels:[ ("status", "engine-error") ] "campaign_statuses_total" 1;
+        ]
+    | Ok j ->
+        let int name = Option.bind (Json.member name j) Json.to_int in
+        let str name = Option.bind (Json.member name j) Json.to_str in
+        let holds name = Json.member name j <> Some (Json.Bool false) in
+        let grade =
+          if str "grade" = Some "excused" then "excused"
+          else if holds "termination" && holds "validity" && holds "agreement"
+          then "passed"
+          else "violated"
+        in
+        let status = Option.value (str "status") ~default:"completed" in
+        let total name field = Option.to_list (Option.map (count name) (int field)) in
+        count ~labels:[ ("grade", grade) ] "campaign_grades_total" 1
+        :: count ~labels:[ ("status", status) ] "campaign_statuses_total" 1
+        :: (match int "rounds_used" with
+           | Some r ->
+               [
+                 count "campaign_rounds_total" r;
+                 Snapshot.series "campaign_rounds_used" (rounds_used r);
+               ]
+           | None -> [])
+        @ total "campaign_honest_messages_total" "honest_messages"
+        @ total "campaign_adversary_messages_total" "adversary_messages"
+        @ (match Json.member "faults" j with
           | Some (Json.Obj kinds) ->
-              List.iter
+              List.filter_map
                 (fun (kind, v) ->
                   match Json.to_int v with
                   | Some n when n > 0 ->
-                      add
-                        (counter reg ~labels:[ ("kind", kind) ]
-                           "campaign_faults_injected_total")
-                        (float_of_int n)
-                  | _ -> ())
+                      Some
+                        (count ~labels:[ ("kind", kind) ]
+                           "campaign_faults_injected_total" n)
+                  | _ -> None)
                 kinds
-          | _ -> ());
-          (match Json.member "watchdog_violations" j with
+          | _ -> [])
+        @ (match Json.member "watchdog_violations" j with
           | Some (Json.Arr vs) ->
-              add
-                (counter reg "campaign_watchdog_violations_total")
-                (float_of_int (List.length vs))
-          | _ -> ());
-          (match Option.bind (Json.member "spread" j) Json.to_float with
-          | Some s -> max_gauge (gauge reg "campaign_spread_max") s
-          | None -> ()))
+              [ count "campaign_watchdog_violations_total" (List.length vs) ]
+          | _ -> [])
+        @
+        match Option.bind (Json.member "spread" j) Json.to_float with
+        | Some s -> [ Snapshot.series "campaign_spread_max" (Gauge s) ]
+        | None -> []
+  in
+  count "campaign_cells_total" 1 :: outcome
+
+let campaign payloads = Snapshot.of_list (List.concat_map cell_series payloads)
 
 (* ------------------------------------------------------------------ *)
 (* atomic file writes (stdlib only — same temp+rename discipline as the

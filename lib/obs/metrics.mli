@@ -1,66 +1,22 @@
-(** Dependency-free metrics registry for the service stack.
+(** Dependency-free metric snapshots for the service stack.
 
-    A {!t} is either the {!null} registry — every operation a no-op, so
-    instrumented code pays nothing when observability is off, mirroring
-    {!Aat_telemetry.Telemetry.Sink.null} — or a live registry holding
-    named, optionally labeled {e counters}, {e gauges} and fixed-bucket
-    {e histograms} behind one mutex (the coordinator's heartbeat loop
-    snapshots while handlers update).
+    A {!Snapshot.t} is a sorted list of named, optionally labeled
+    {e counters}, {e gauges} and fixed-bucket {e histograms}. Every
+    series a status file carries is built as one: the operational
+    series with {!Snapshot.series} and {!Snapshot.of_list}, the
+    deterministic [campaign_*] series with {!campaign}, and views from
+    several processes combined with {!Snapshot.merge}.
 
     {1 Determinism contract}
 
     A snapshot is a {e deterministic} value: series are sorted by name
     then labels, and every number renders through the {!Aat_telemetry.Jsonx}
-    integer rule, so two registries fed the same updates in any order
-    produce byte-identical {!Snapshot.to_json} output. Counters fed
-    integer increments stay exact (no float rounding below 2{^53}).
+    integer rule, so equal snapshots render byte-identical
+    {!Snapshot.to_json} output. Counters that sum integers stay exact
+    (no float rounding below 2{^53}), in any order of summation.
     Metrics {e derived from timing} (lag gauges, rates) are outside the
     contract — same precedent as the [~profile] block of a flight
     record. *)
-
-type t
-(** A registry: {!null} or live. *)
-
-val null : t
-(** The no-op registry. Physical equality test via {!is_null}; every
-    handle minted from it is inert. *)
-
-val is_null : t -> bool
-
-val create : unit -> t
-(** A fresh live registry with no series. *)
-
-(** {1 Instrument handles}
-
-    Handles are minted once (name + labels) and updated on the hot
-    path; minting the same name/labels twice yields the same underlying
-    series. Labels are sorted internally — order at mint time is
-    irrelevant. *)
-
-type counter
-type gauge
-type histogram
-
-val counter : t -> ?labels:(string * string) list -> string -> counter
-val gauge : t -> ?labels:(string * string) list -> string -> gauge
-
-val histogram :
-  t -> ?labels:(string * string) list -> ?buckets:float list -> string ->
-  histogram
-(** [buckets] are upper bounds, sorted ascending (default powers of two
-    [1; 2; 4; ...; 256]); an implicit [+Inf] bucket always exists. *)
-
-val incr : counter -> unit
-val add : counter -> float -> unit
-(** Negative deltas are clamped to 0 — counters never go down. *)
-
-val set : gauge -> float -> unit
-
-val max_gauge : gauge -> float -> unit
-(** [set g (max current v)] — for high-water marks that must merge
-    order-independently. *)
-
-val observe : histogram -> float -> unit
 
 (** {1 Snapshots} *)
 
@@ -107,20 +63,22 @@ module Snapshot : sig
       ending at [+Inf]. *)
 end
 
-val snapshot : t -> Snapshot.t
-(** Empty on {!null}. *)
+(** {1 Campaign series} *)
 
-(** {1 Campaign-cell accounting}
-
-    [record_cell t payload] parses one campaign cell result — the
-    [Campaign.json_of_outcome] object, or [Error _] for an engine
-    error — and bumps the deterministic [campaign_*] series: cells,
-    grades, statuses, rounds/messages totals, injected fault counts,
-    watchdog violations, max spread, and the rounds-used histogram.
-    Because every update is a commutative fold of per-cell facts, the
-    resulting snapshot is bit-identical for any worker count or cell
-    arrival order. *)
-val record_cell : t -> (Aat_telemetry.Jsonx.t, string) result -> unit
+val campaign : (Aat_telemetry.Jsonx.t, string) result list -> Snapshot.t
+(** The deterministic [campaign_*] series of a set of campaign cells.
+    Each payload is one cell's result — the [Campaign.json_of_outcome]
+    object, or [Error _] for a task that failed to instantiate — and
+    contributes its own series: counters of 1 (cells, grade, status,
+    instantiation errors) or of its own totals (rounds, honest and
+    adversary messages, injected faults by kind, watchdog violations),
+    one observation of the [campaign_rounds_used] histogram (buckets
+    1, 2, 4, …, 256, then [+Inf]) and its spread as the
+    [campaign_spread_max] gauge. {!Snapshot.of_list} sums the counters
+    and histograms and keeps the largest spread, so the snapshot is a
+    function of the cell set: the same for any worker count, arrival
+    order or split, with [Snapshot.merge (campaign a) (campaign b)]
+    equal to [campaign (a @ b)]. *)
 
 val write_atomic : path:string -> string -> unit
 (** Write [path] atomically: temp file in the same directory, then

@@ -2,8 +2,9 @@
 
     A {!t} collects duration spans ([ph:"B"]/[ph:"E"]), instants and
     process metadata as Chrome trace-event objects — the JSON format
-    chrome://tracing and Perfetto open directly. Like the metrics
-    registry, {!null} makes every operation a no-op.
+    chrome://tracing and Perfetto open directly. Like
+    {!Aat_telemetry.Telemetry.Sink.null}, {!null} makes every operation
+    a no-op.
 
     Spans carry an id and an optional parent id in their [args], both
     plain integers, so a parent id can travel over the service wire: the

@@ -507,12 +507,6 @@ let write_status_pair ~path fields snap =
     (Metrics.Snapshot.to_prometheus snap)
 
 let write_status ~path (r : Campaign.result) =
-  let registry = Metrics.create () in
-  Array.iter
-    (fun (tr : Campaign.task_result) ->
-      Metrics.record_cell registry
-        (Result.map Campaign.json_of_outcome tr.Campaign.result))
-    r.Campaign.results;
   let cells = num (Array.length r.Campaign.results) in
   write_status_pair ~path
     [
@@ -521,7 +515,10 @@ let write_status ~path (r : Campaign.result) =
       ("cells_total", cells);
       ("cells_done", cells);
     ]
-    (Metrics.snapshot registry)
+    (Metrics.campaign
+       (Array.to_list r.Campaign.results
+       |> List.map (fun (tr : Campaign.task_result) ->
+              Result.map Campaign.json_of_outcome tr.Campaign.result)))
 
 (* ------------------------------------------------------------------ *)
 (* coordinator *)
@@ -582,7 +579,7 @@ let chunks size l =
 
 let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
     ?(heartbeat_timeout = 30.) ?(max_respawns = 2) ?(respawn_backoff = 0.5)
-    ?progress_timeout ?(wire_chaos = Chaos.none) ?metrics ?status_out
+    ?progress_timeout ?(wire_chaos = Chaos.none) ?status_out
     ?trace_events ?kill_worker_after_cells ?halt_after_cells spec =
   match Campaign.Spec.validate spec with
   | Error m -> Error ("Service.run: " ^ m)
@@ -592,16 +589,7 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
       let seeds =
         Campaign.task_seeds ~base_seed:spec.Campaign.Spec.base_seed ~count:reps
       in
-      (* the deterministic registry: the caller's, or a private one so
-         --status-out works on its own; Metrics.null when nobody asked *)
-      let registry =
-        match metrics with
-        | Some m -> m
-        | None -> if status_out <> None then Metrics.create () else Metrics.null
-      in
-      let want_metrics =
-        status_out <> None || not (Metrics.is_null registry)
-      in
+      let want_metrics = status_out <> None in
       let tracer =
         match trace_events with
         | Some _ -> Span.create ~pid:(Unix.getpid ()) ~clock:Clock.now ()
@@ -618,14 +606,16 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
             mkdir_p dir;
             r
       in
-      (* resumed checkpoints count exactly like freshly computed cells:
-         the deterministic snapshot is a function of the cell set, not
-         of which process (or which run) computed each cell *)
-      Array.iter
-        (function
-          | Some payload -> Metrics.record_cell registry payload
-          | None -> ())
-        cells;
+      (* the campaign_* series of the cells landed so far, kept only
+         for --status-out. Resumed checkpoints count exactly like
+         freshly computed cells: the series are a function of the cell
+         set, not of which process (or which run) computed each cell. *)
+      let landed =
+        ref
+          (if want_metrics then
+             Metrics.campaign (List.filter_map Fun.id (Array.to_list cells))
+           else [])
+      in
       let pending =
         List.filter (fun i -> cells.(i) = None) (List.init reps Fun.id)
       in
@@ -637,8 +627,8 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
       (* Atomically rewrite the status JSON + its Prometheus twin, and
          the cumulative Chrome trace file. [extra_series] carries the
          per-slot gauges and the aggregated worker endpoint views; the
-         deterministic registry and the coordinator's operational
-         counters are folded in here. Timing-derived series are outside
+         campaign_* series and the coordinator's operational counters
+         are merged in here. Timing-derived series are outside
          the determinism contract. *)
       let write_observability ~label ~workers_json ~extra_series () =
         (match status_out with
@@ -667,7 +657,7 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
               ]
             in
             let snap =
-              Metrics.Snapshot.merge (Metrics.snapshot registry)
+              Metrics.Snapshot.merge !landed
                 (Metrics.Snapshot.of_list (operational @ extra_series))
             in
             write_status_pair ~path
@@ -892,7 +882,9 @@ let run ?(workers = 1) ?record_dir ?(heartbeat_period = 0.25)
           if cells.(task) = None then begin
             cells.(task) <- Some payload;
             incr computed;
-            Metrics.record_cell registry payload;
+            if want_metrics then
+              landed :=
+                Metrics.Snapshot.merge !landed (Metrics.campaign [ payload ]);
             (match (record_dir, payload) with
             | Some dir, Ok o ->
                 checkpoint ~dir ~spec ~task ~task_seed:seeds.(task) o

@@ -108,7 +108,6 @@ val run :
   ?respawn_backoff:float ->
   ?progress_timeout:float ->
   ?wire_chaos:Chaos.t ->
-  ?metrics:Aat_obs.Metrics.t ->
   ?status_out:string ->
   ?trace_events:string ->
   ?kill_worker_after_cells:int ->
@@ -132,18 +131,18 @@ val run :
     drills.
 
     {b Observability} (docs/OBSERVABILITY.md, "Service metrics & live
-    status"). [metrics] (default {!Aat_obs.Metrics.null}) receives the
-    deterministic [campaign_*] series — every resumed and fresh cell is
-    folded through [Metrics.record_cell], so the snapshot is
-    bit-identical to an in-process run's for any worker count.
-    [status_out FILE] atomically rewrites a [service-status] JSON (plus
-    a Prometheus twin at [FILE.prom]) at least every [heartbeat_period]:
-    progress counters, per-slot health (heartbeat/progress lag, backoff
-    deadlines), and the merged metric snapshot — the deterministic
-    registry plus operational series (wire/chaos endpoint counters
-    piggybacked on worker heartbeats, per-slot gauges), the latter
-    timing-dependent and outside the determinism contract. If [metrics]
-    is not supplied, [status_out] creates a private registry.
+    status"). [status_out FILE] atomically rewrites a [service-status]
+    JSON (plus a Prometheus twin at [FILE.prom]) at least every
+    [heartbeat_period]: progress counters, per-slot health
+    (heartbeat/progress lag, backoff deadlines), and the merged metric
+    snapshot. Its deterministic [campaign_*] series are
+    {!Aat_obs.Metrics.campaign} of the cells landed so far — resumed
+    checkpoints first, then each fresh cell merged in as it lands — so
+    they are bit-identical to an in-process run's for any worker count.
+    The rest are operational series (wire/chaos endpoint counters
+    piggybacked on worker heartbeats, per-slot gauges), timing-dependent
+    and outside the determinism contract. Without [status_out] the
+    coordinator keeps no metrics.
     [trace_events FILE] collects Chrome trace-event JSON (open in
     chrome://tracing or Perfetto): the coordinator's campaign root span
     (tid 0), per-slot shard and backoff spans (tid = slot+1), kill
@@ -160,10 +159,10 @@ val run :
     coordinator crash whose [record_dir] a second [run] resumes from. *)
 
 val write_status : path:string -> Aat_campaign.Campaign.result -> unit
-(** [--status-out] for an in-process campaign: fold every outcome through
-    [Metrics.record_cell], as {!run} does, and write the same
-    [service-status] JSON and Prometheus twin once, with status
-    ["completed"]. Its [campaign_*] series equal those of
+(** [--status-out] for an in-process campaign: write the same
+    [service-status] JSON and Prometheus twin as {!run}, once, with
+    status ["completed"] and the {!Aat_obs.Metrics.campaign} series of
+    every outcome. Its [campaign_*] series equal those of
     [run ~status_out] on the same spec. *)
 
 val jsonl_lines : result -> Aat_telemetry.Jsonx.t list
