@@ -1024,12 +1024,20 @@ let bounds_cmd =
 
 let chain_cmd =
   let n_term = Arg.(value & opt int 7 & info [ "n" ] ~docv:"N" ~doc:"Parties.") in
-  let t_term = Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Byzantine budget.") in
+  let t_term =
+    Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Byzantine budget, 2t < n.")
+  in
   let d_term =
-    Arg.(value & opt float 100. & info [ "d" ] ~docv:"D" ~doc:"Input spread.")
+    Arg.(value & opt float 100. & info [ "d" ] ~docv:"D" ~doc:"Input spread, >= 0.")
   in
   let action n t d =
-    if t < 1 || t >= n then Error "need 1 <= t < n"
+    (* the trimmed-midpoint rule drops t values from each end of n *)
+    if t < 1 || 2 * t >= n then
+      Error
+        (Printf.sprintf
+           "bad -n %d -t %d: the trimmed-midpoint rule needs 1 <= t and 2t < n" n t)
+    else if not (Float.is_finite d && d >= 0.) then
+      Error (Printf.sprintf "bad -d %g: the input spread must be finite and >= 0" d)
     else begin
       Printf.printf
         "Fekete one-round view chain, n=%d t=%d, inputs in {0, %g}:\n\n" n t d;

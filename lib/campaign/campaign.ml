@@ -145,12 +145,26 @@ module Spec = struct
           (Float.log10 Float.max_float) log10_min log10_max
     | _ -> Ok ()
 
+  (* Every cell draws n >= max 1 lo; a fixed t at or above that leaves
+     some cell with t >= n, which the engines reject at instantiation. *)
+  let validate_budget s =
+    let lo = match s.n with Exactly k | Between (k, _) -> max 1 k in
+    match s.t_budget with
+    | Fixed_t t when t >= lo ->
+        Printf.ksprintf Result.error
+          "t = %d must be below the smallest party count n = %d" t lo
+    | _ -> Ok ()
+
   let validate s =
     let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
     let label = protocol_label s.protocol in
     if s.repetitions < 0 then err "repetitions must be non-negative"
     else
-      match Result.bind (validate_reals s) (fun () -> validate_faults s) with
+      match
+        List.fold_left
+          (fun acc check -> Result.bind acc (fun () -> check s))
+          (Ok ()) [ validate_reals; validate_faults; validate_budget ]
+      with
       | Error _ as e -> e
       | Ok () -> (
       match s.protocol with

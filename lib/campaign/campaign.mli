@@ -108,7 +108,9 @@ module Spec : sig
       with the protocol's wire type, input distribution compatible with
       the protocol's value space, fault plan structurally valid and
       engine-compatible ([Duplicate]/[Delay] are async-only), chaos
-      intensity in [[0, 1]]. *)
+      intensity in [[0, 1]], eps and real ranges finite (eps positive),
+      and a [Fixed_t] below the smallest [n] the spec draws. A budget
+      from n/3 up to n stays legal: such cells are graded, not refused. *)
 end
 
 type task_result = {

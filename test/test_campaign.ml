@@ -333,6 +333,28 @@ let test_validate () =
           base with
           inputs = Campaign.Spec.Log_uniform_reals { log10_min = 0.; log10_max = 400. };
         } );
+    ];
+  (* A fixed t at or above the smallest n the spec draws used to pass and
+     then fail those cells at instantiation ([campaign --reps 2 -n 4 -t 5]
+     and [--reps 3 -n 4-6 -t 4]); budgets from n/3 up to n stay legal,
+     because out-of-model cells are graded. *)
+  let cli n t =
+    {
+      base with
+      protocol = Campaign.Spec.Tree_aa;
+      n;
+      t_budget = Campaign.Spec.Fixed_t t;
+      inputs = Campaign.Spec.Random_vertices;
+    }
+  in
+  List.iter
+    (fun (name, want, spec) ->
+      check name want (ok (Campaign.Spec.validate spec)))
+    [
+      ("-n 4 -t 5", false, cli (Campaign.Spec.Exactly 4) 5);
+      ("-n 4-6 -t 4", false, cli (Campaign.Spec.Between (4, 6)) 4);
+      ("-n 4-6 -t 3", true, cli (Campaign.Spec.Between (4, 6)) 3);
+      ("-n 7 -t 3", true, cli (Campaign.Spec.Exactly 7) 3);
     ]
 
 (* ------------------------------------------------------------------ *)
