@@ -105,6 +105,37 @@ let test_tiny_spread_immediate () =
   check "two iterations" true (report.rounds_used <= 6);
   check "verdict" true (Verdict.all_ok (verdict_of ~eps:1. values report))
 
+(* Pinned runs at n=10, t=3: the digest covers every honest output (float
+   bits), its [iterations_used], the termination rounds and the letter
+   counts, so a change that must not move behaviour keeps it. *)
+let pin_digest (report : (Early_bdh.result, _) Sync_engine.report) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (p, (r : Early_bdh.result)) ->
+      Printf.bprintf b "%d:%Lx:%d;" p (Int64.bits_of_float r.value)
+        r.iterations_used)
+    report.outputs;
+  List.iter (fun (p, r) -> Printf.bprintf b "%d@%d;" p r) report.termination_rounds;
+  Printf.bprintf b "rounds=%d honest=%d adversary=%d" report.rounds_used
+    report.honest_messages report.adversary_messages;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_runs () =
+  let values = Array.init 10 (fun i -> float_of_int (97 * i * i mod 1000)) in
+  let iterations = Rounds.bdh_iterations ~range:1000. ~eps:1. in
+  List.iter
+    (fun (name, adversary, want) ->
+      let report = run ~seed:3 ~n:10 ~t:3 ~eps:1. ~adversary values in
+      Alcotest.(check string) name want (pin_digest report))
+    [
+      ( "passive",
+        Adversary.passive "none",
+        "8fb292c113c38b8e6dfc4e46fb9b2ef0" );
+      ( "spoiler",
+        Spoiler.early_stopping_spoiler ~t:3 ~iterations,
+        "f16b29287da42d270b7d2aafa7b7aee3" );
+    ]
+
 let prop_early_stopping_under_adversaries =
   QCheck2.Test.make ~name:"early stopping AA under assorted adversaries"
     ~count:50
@@ -139,6 +170,8 @@ let () =
           Alcotest.test_case "crash mid-protocol" `Quick test_crash_mid_protocol;
           Alcotest.test_case "eps-close inputs decide immediately" `Quick
             test_tiny_spread_immediate;
+          Alcotest.test_case "pinned n=10 passive and spoiler runs" `Quick
+            test_pinned_runs;
           QCheck_alcotest.to_alcotest prop_early_stopping_under_adversaries;
         ] );
     ]

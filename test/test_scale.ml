@@ -390,6 +390,39 @@ let test_async_fault_golden_n7 () =
     (golden_async_fault_specs ~n:7 ~t:2)
     golden_async_fault_n7
 
+(* The gradecast wedge builds a row per (sender, recipient) pair, so no
+   two honest parties hold the same echo or vote table. Pinned like the
+   spoiler cells, inside the model at n=7, t=2 and at the n=3t boundary
+   (n=9, t=3) where the wedge splits the honest parties. *)
+let golden_wedge_specs ~n ~t =
+  let open Campaign.Spec in
+  [
+    golden_spec ~n ~t
+      (Printf.sprintf "realaa-wedge-n%d" n)
+      (Real_aa { eps = 1.0 })
+      (Path_tree (Exactly 12)) (Linspace_reals 1000.) Gradecast_wedge;
+  ]
+
+let golden_wedge_n7 =
+  [
+    ( "realaa-wedge-n7",
+      "427686096bba9392d89ae4db1db2a907",
+      "ea3e971272055c8cadf698fc760f9edf" );
+  ]
+
+let golden_wedge_n9 =
+  [
+    ( "realaa-wedge-n9",
+      "03f2574af3923b7d22c44ffbdbbc2a25",
+      "2501999957a0f2d0d74ae6b29fae4c03" );
+  ]
+
+let test_wedge_goldens () =
+  check_record_goldens ~what:"wedge" (golden_wedge_specs ~n:7 ~t:2)
+    golden_wedge_n7;
+  check_record_goldens ~what:"wedge" (golden_wedge_specs ~n:9 ~t:3)
+    golden_wedge_n9
+
 (* A history-reading adversary: the gradecast leader is a puppeteer that
    replays the honest protocol from the delivered traffic and equivocates
    on its round-1 value. The digest covers every honest output and every
@@ -510,6 +543,8 @@ let () =
             test_async_fault_golden_n7;
           Alcotest.test_case "n=7 puppeteer trace" `Quick
             test_puppeteer_golden_n7;
+          Alcotest.test_case "n=7 and n=9 gradecast wedge cells" `Quick
+            test_wedge_goldens;
           Alcotest.test_case "n=300 (AAT_SCALE_TESTS=1)" `Slow
             test_goldens_n300;
         ] );
