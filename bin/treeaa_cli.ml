@@ -755,6 +755,22 @@ let campaign_serve_cmd =
       heartbeat_timeout max_respawns respawn_backoff progress_timeout
       wire_chaos status_out trace_events manifest_out =
     let ( let* ) = Result.bind in
+    (* A NaN or infinite period used to reach select as EINVAL, and a zero
+       or negative timeout killed every worker: both ended in exit 4. *)
+    let seconds ~flag ~lo ok v =
+      if Float.is_finite v && ok v then Ok ()
+      else Error (Printf.sprintf "bad --%s %g: must be finite and %s" flag v lo)
+    in
+    let positive ~flag = seconds ~flag ~lo:"> 0" (fun v -> v > 0.) in
+    let* () = positive ~flag:"heartbeat-period" heartbeat_period in
+    let* () = positive ~flag:"heartbeat-timeout" heartbeat_timeout in
+    let* () =
+      Option.fold ~none:(Ok ()) ~some:(positive ~flag:"progress-timeout")
+        progress_timeout
+    in
+    let* () =
+      seconds ~flag:"respawn-backoff" ~lo:">= 0" (fun v -> v >= 0.) respawn_backoff
+    in
     let* spec = Spec_io.read_file spec_file in
     let* () = Campaign.Spec.validate spec in
     let* wire_chaos =

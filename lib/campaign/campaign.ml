@@ -109,7 +109,7 @@ module Spec = struct
     match s.faults with
     | No_faults -> Ok ()
     | Chaos { intensity } ->
-        if intensity < 0. || intensity > 1. then
+        if not (intensity >= 0. && intensity <= 1.) then
           err "chaos intensity must be in [0, 1] (got %g)" intensity
         else Ok ()
     | Fault_plan p -> (

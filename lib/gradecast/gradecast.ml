@@ -12,11 +12,24 @@ module Multi = struct
     | Echo of 'v option array (* round 2: echo.(leader) *)
     | Vote of 'v option array (* round 3: vote.(leader) *)
 
+  (* A round-3 vote or grading, with the [t] and a copy of the row pointers
+     it came from. Each share field holds one immutable value, replaced by
+     one store and read once per use, so parties driven from two domains
+     at once can only miss. *)
+  type ('v, 'a) memo = { mt : int; rows : 'v option array array; out : 'a }
+
+  type 'v share = {
+    mutable empty : 'v option array;
+    mutable vote : ('v, 'v option array) memo;
+    mutable grades : ('v, 'v result array) memo;
+  }
+
   type 'v state = {
     n : int;
     t : int;
     self : Types.party_id;
     own : 'v;
+    share : 'v share;
     heard : 'v option array; (* round-1 value per leader *)
     echoes : 'v option array array; (* echoes.(sender).(leader) *)
     votes : 'v option array array; (* votes.(sender).(leader) *)
@@ -25,24 +38,51 @@ module Multi = struct
 
   let rounds = 3
 
-  let start ~n ~t ~self ~own =
-    (* [echoes] and [votes] start with every sender slot pointing at one
-       shared all-[None] row: a slot is only ever {e replaced} wholesale
+  let no_memo = { mt = -1; rows = [||]; out = [||] }
+
+  let share () = { empty = [||]; vote = no_memo; grades = no_memo }
+
+  let start ~share ~n ~t ~self ~own =
+    (* [echoes] and [votes] start with every sender slot pointing at the
+       share's all-[None] row: a slot is only ever {e replaced} wholesale
        when that sender's row arrives (see [receive]), never mutated in
        place, so the sharing is invisible — and state creation is O(n)
        instead of the O(n²) of two materialised matrices (which made
-       running n parallel instances Θ(n³) before a single message moved). *)
-    let empty : 'v option array = Array.make n None in
+       running n parallel instances Θ(n³) before a single message moved).
+       Every party of a run points at the same row, so parties that heard
+       from the same senders hold physically equal tables. *)
+    let empty =
+      match share.empty with
+      | e when Array.length e = n -> e
+      | _ ->
+          let e = Array.make n None in
+          share.empty <- e;
+          e
+    in
     {
       n;
       t;
       self;
       own;
+      share;
       heard = Array.make n None;
       echoes = Array.make n empty;
       votes = Array.make n empty;
       finished = None;
     }
+
+  let next st ~own = start ~share:st.share ~n:st.n ~t:st.t ~self:st.self ~own
+
+  (* [m] was computed from [table] iff it ran at the same [t] over the very
+     same rows: physical equality of the length and of every slot, never a
+     content comparison, so a hit returns exactly what recomputing would. *)
+  let rec same_rows (a : 'v option array array) b i =
+    i < 0 || (a.(i) == b.(i) && same_rows a b (i - 1))
+
+  let hits m ~t table =
+    m.mt = t
+    && Array.length m.rows = Array.length table
+    && same_rows m.rows table (Array.length table - 1)
 
   (* The plurality of column [leader] of [table]: the most frequent [Some]
      value, ties broken toward the smaller value under polymorphic
@@ -107,19 +147,25 @@ module Multi = struct
     | 2 -> Protocol.To_all (Echo (Array.copy st.heard))
     | 3 ->
         (* Vote for each leader's value that at least n - t parties echoed;
-           otherwise abstain on that instance. *)
-        let first = Array.make st.n 0 and count = Array.make st.n 0 in
-        let vote = Array.make st.n None in
-        for leader = 0 to st.n - 1 do
-          let w = plurality ~first ~count st.echoes leader in
-          (* A fresh [Some] per entry, never the winning row's own box:
-             [payload_bytes] counts a block shared across leaders once, so
-             reusing a box a Byzantine row repeated would shrink the
-             vote's counted size. *)
-          if w >= 0 && count.(w) >= st.n - st.t then
-            vote.(leader) <- Some (entry st.echoes first.(w) leader)
-        done;
-        Protocol.To_all (Vote vote)
+           otherwise abstain on that instance. A party whose echo table
+           is the one the share last voted on sends that very vote. *)
+        let m = st.share.vote in
+        if hits m ~t:st.t st.echoes then Protocol.To_all (Vote m.out)
+        else begin
+          let first = Array.make st.n 0 and count = Array.make st.n 0 in
+          let vote = Array.make st.n None in
+          for leader = 0 to st.n - 1 do
+            let w = plurality ~first ~count st.echoes leader in
+            (* A fresh [Some] per entry, never the winning row's own box:
+               [payload_bytes] counts a block shared across leaders once,
+               so reusing a box a Byzantine row repeated would shrink the
+               vote's counted size. *)
+            if w >= 0 && count.(w) >= st.n - st.t then
+              vote.(leader) <- Some (entry st.echoes first.(w) leader)
+          done;
+          st.share.vote <- { mt = st.t; rows = Array.copy st.echoes; out = vote };
+          Protocol.To_all (Vote vote)
+        end
     | _ -> invalid_arg "Gradecast.Multi.send: round out of range"
 
   (* State updates are in place: both engines treat protocol state
@@ -128,9 +174,10 @@ module Multi = struct
      received letter — Θ(n²) each, Θ(n³) per round across parties — bought
      nothing. Received rows are stored {e by reference}: the sender built
      (or copied) the row before broadcast and no reader ever mutates a
-     stored row, so one physical row may back many parties' tables. An
-     adversary crafting [Echo]/[Vote] payloads must hand over fresh rows
-     it does not mutate afterwards — every in-repo strategy does. *)
+     stored row, so one physical row may back many parties' tables, and
+     the share's memos key on those pointers. An adversary crafting
+     [Echo]/[Vote] payloads must hand over fresh rows it does not mutate
+     afterwards — every in-repo strategy does. *)
   let receive ~round ~inbox st =
     match round with
     | 1 ->
@@ -153,18 +200,26 @@ module Multi = struct
             | Vote row when Array.length row = st.n -> st.votes.(sender) <- row
             | Vote _ | Value _ | Echo _ -> ())
           inbox;
-        let first = Array.make st.n 0 and count = Array.make st.n 0 in
+        let m = st.share.grades in
         let finished =
-          Array.init st.n (fun leader ->
-              match plurality ~first ~count st.votes leader with
-              | -1 -> { value = None; grade = G0 }
-              | w ->
-                  let c = count.(w) in
-                  if c >= st.n - st.t then
-                    { value = Some (entry st.votes first.(w) leader); grade = G2 }
-                  else if c >= st.t + 1 then
-                    { value = Some (entry st.votes first.(w) leader); grade = G1 }
-                  else { value = None; grade = G0 })
+          if hits m ~t:st.t st.votes then m.out
+          else begin
+            let first = Array.make st.n 0 and count = Array.make st.n 0 in
+            let finished =
+              Array.init st.n (fun leader ->
+                  match plurality ~first ~count st.votes leader with
+                  | -1 -> { value = None; grade = G0 }
+                  | w ->
+                      let c = count.(w) in
+                      if c >= st.n - st.t then
+                        { value = Some (entry st.votes first.(w) leader); grade = G2 }
+                      else if c >= st.t + 1 then
+                        { value = Some (entry st.votes first.(w) leader); grade = G1 }
+                      else { value = None; grade = G0 })
+            in
+            st.share.grades <- { mt = st.t; rows = Array.copy st.votes; out = finished };
+            finished
+          end
         in
         (if Aat_telemetry.Telemetry.Probe.active () then begin
            let g0 = ref 0 and g1 = ref 0 and g2 = ref 0 in
@@ -182,14 +237,16 @@ module Multi = struct
 
   let results st =
     match st.finished with
+    (* The array may be the share's, so callers get their own copy. *)
     | Some r -> Array.copy r
     | None -> invalid_arg "Gradecast.Multi.results: protocol not finished"
 end
 
 let protocol ~leader ~inputs ~t =
+  let share = Multi.share () in
   {
     Protocol.name = "gradecast";
-    init = (fun ~self ~n -> Multi.start ~n ~t ~self ~own:(inputs self));
+    init = (fun ~self ~n -> Multi.start ~share ~n ~t ~self ~own:(inputs self));
     send = (fun ~round ~self:_ st -> Multi.send ~round st);
     receive = (fun ~round ~self:_ ~inbox st -> Multi.receive ~round ~inbox st);
     output =

@@ -48,11 +48,28 @@ module Multi : sig
 
   type 'v state
 
+  type 'v share
+  (** Shared by the parties of one run: the all-[None] row every empty
+      table slot points at, and the last round-3 vote and grades with the
+      [t] and row pointers they came from. A party whose table holds the
+      very same row in every slot, at the same [t], takes them instead of
+      counting again, so round 3 counts once per table when honest parties
+      hold the same rows by reference. It relies on the rule for every
+      stored row, now across parties too: a row, vote or results array
+      handed over is never mutated afterwards, by anyone. *)
+
+  val share : unit -> 'v share
+  (** A fresh share; a protocol value makes one for all its parties. *)
+
   val rounds : int
   (** = 3 *)
 
-  val start : n:int -> t:int -> self:Types.party_id -> own:'v -> 'v state
+  val start :
+    share:'v share -> n:int -> t:int -> self:Types.party_id -> own:'v -> 'v state
   (** Begin an instance batch where this party gradecasts [own]. *)
+
+  val next : 'v state -> own:'v -> 'v state
+  (** Begin the next batch on the same share, [n], [t] and party. *)
 
   val send : round:int -> 'v state -> 'v msg Protocol.outbox
   (** [round] is 1-, 2- or 3- relative to the batch start. Every round is
@@ -61,7 +78,8 @@ module Multi : sig
   val receive : round:int -> inbox:'v msg Inbox.t -> 'v state -> 'v state
 
   val results : 'v state -> 'v result array
-  (** Per-leader outcomes; only meaningful after round 3's [receive].
+  (** Per-leader outcomes, in a fresh array (the state's may be shared
+      with other parties); only meaningful after round 3's [receive].
       Raises [Invalid_argument] before that. *)
 end
 

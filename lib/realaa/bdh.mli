@@ -65,6 +65,7 @@ val observe : state -> float option
     per-round honest-value snapshots (convergence curves) in telemetry. *)
 
 val protocol :
+  ?share:float Gradecast.Multi.share ->
   ?knobs:knobs ->
   inputs:(Types.party_id -> float) ->
   t:int ->
@@ -73,7 +74,9 @@ val protocol :
   (state, float Gradecast.Multi.msg, result) Protocol.t
 (** [iterations] is normally [Rounds.bdh_iterations ~range ~eps] for the
     public input-range bound; the protocol terminates after exactly
-    [3 * iterations] rounds. [knobs] defaults to {!faithful}. *)
+    [3 * iterations] rounds. [knobs] defaults to {!faithful}. Every party
+    runs its gradecasts on [share], by default one made for this protocol
+    value; TreeAA passes one to the phase-two protocol each party builds. *)
 
 val simple :
   inputs:(Types.party_id -> float) ->

@@ -23,7 +23,7 @@ let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
     output = (function Trivial v -> Some v | Running _ -> None);
   }
 
-let phase2 ~rooted ~inputs ~t ~iterations own_path :
+let phase2 ~share ~rooted ~inputs ~t ~iterations own_path :
     (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t =
   let k = Array.length own_path in
   let real_inputs self =
@@ -36,7 +36,8 @@ let phase2 ~rooted ~inputs ~t ~iterations own_path :
     let c = Closest_int.closest_int r.value in
     own_path.(max 0 (min (k - 1) c))
   in
-  Protocol.map_output to_vertex (Bdh.protocol ~inputs:real_inputs ~t ~iterations ())
+  Protocol.map_output to_vertex
+    (Bdh.protocol ~share ~inputs:real_inputs ~t ~iterations ())
 
 let rounds ~tree =
   let d = Metrics.diameter tree in
@@ -52,11 +53,14 @@ let protocol ~tree ~inputs ~t : (state, msg, Labeled_tree.vertex) Protocol.t =
     let rooted = Rooted.make tree in
     let iterations2 = Rounds.bdh_iterations ~range:(float_of_int d) ~eps:1. in
     let first = Paths_finder.protocol ~rooted ~inputs ~t in
+    (* Each party builds its phase-two protocol at the barrier; one share
+       lets their gradecasts count each round-3 table once. *)
+    let share = Gradecast.Multi.share () in
     let inner =
       Protocol.sequential ~name:"tree-aa" ~first
         ~rounds_of_first:(max 1 (Paths_finder.rounds ~tree))
         ~second:(fun own_path ->
-          phase2 ~rooted ~inputs ~t ~iterations:iterations2 own_path)
+          phase2 ~share ~rooted ~inputs ~t ~iterations:iterations2 own_path)
     in
     {
       name = "tree-aa";

@@ -333,6 +333,9 @@ let test_validate () =
           base with
           inputs = Campaign.Spec.Log_uniform_reals { log10_min = 0.; log10_max = 400. };
         } );
+      (* A NaN chaos intensity passed the range test and wrote records
+         that replay rejects. *)
+      ("nan chaos", { base with faults = Campaign.Spec.Chaos { intensity = Float.nan } });
     ];
   (* A fixed t at or above the smallest n the spec draws used to pass and
      then fail those cells at instantiation ([campaign --reps 2 -n 4 -t 5]
