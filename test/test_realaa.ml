@@ -295,6 +295,58 @@ let test_bdh_trajectory_monotone_spread () =
   in
   check "spread non-increasing" true (monotone spreads)
 
+(* Pinned ablation runs at n=10, t=3 against the spoiler, one per knob
+   turned off: the digest covers every honest output (float bits), its
+   trajectory and blacklist, the termination rounds and the letter counts,
+   so a change that must not move behaviour keeps it, and a protocol that
+   ignores a knob fails it. Three iterations (R <= t) leave the spoiler no
+   clean iteration, so each knob moves the outputs; over the full schedule
+   for this range, adaptive trimming reads the same as the faithful run. *)
+let knob_digest (report : (Bdh.result, _) Sync_engine.report) =
+  let b = Buffer.create 512 in
+  let bits v = Printf.bprintf b "%Lx," (Int64.bits_of_float v) in
+  List.iter
+    (fun (p, (r : Bdh.result)) ->
+      Printf.bprintf b "%d:" p;
+      bits r.value;
+      List.iter bits r.trajectory;
+      List.iter (Printf.bprintf b "b%d,") r.blacklisted;
+      Buffer.add_char b ';')
+    report.outputs;
+  List.iter (fun (p, r) -> Printf.bprintf b "%d@%d;" p r) report.termination_rounds;
+  Printf.bprintf b "rounds=%d honest=%d adversary=%d" report.rounds_used
+    report.honest_messages report.adversary_messages;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bdh_knob_pins () =
+  let n = 10 and t = 3 in
+  let values = Array.init n (fun i -> float_of_int (97 * i * i mod 1000)) in
+  let iterations = 3 in
+  let digest knobs =
+    knob_digest
+      (Sync_engine.run ~n ~t ~seed:3 ~max_rounds:(3 * iterations)
+         ~protocol:(Bdh.protocol ~knobs ~inputs:(float_inputs values) ~t ~iterations ())
+         ~adversary:(Spoiler.realaa_spoiler ~t ~iterations)
+         ())
+  in
+  let faithful = digest Bdh.faithful in
+  List.iter
+    (fun (name, knobs, want) ->
+      let got = digest knobs in
+      Alcotest.(check string) name want got;
+      check (name ^ " differs from faithful") true (got <> faithful))
+    [
+      ( "blacklist = false",
+        { Bdh.faithful with blacklist = false },
+        "786d5497d014df30f3ecc7e839861303" );
+      ( "adaptive_trim = false",
+        { Bdh.faithful with adaptive_trim = false },
+        "2958f48918f5822bf2db6d187ffa5368" );
+      ( "averaging = Midpoint",
+        { Bdh.faithful with averaging = Bdh.Midpoint },
+        "a41940b1983865e9d5e673538407cff1" );
+    ]
+
 (* --- iterated midpoint baselines --- *)
 
 let run_naive ?(seed = 0) ~n ~t ~iterations ~adversary values =
@@ -461,6 +513,8 @@ let () =
             test_bdh_blacklist_reported;
           Alcotest.test_case "spread monotone" `Quick
             test_bdh_trajectory_monotone_spread;
+          Alcotest.test_case "pinned n=10 ablation knobs" `Quick
+            test_bdh_knob_pins;
           QCheck_alcotest.to_alcotest prop_bdh_random_adversaries;
         ] );
       ( "baselines",
