@@ -178,62 +178,68 @@ module Multi = struct
      the share's memos key on those pointers. An adversary crafting
      [Echo]/[Vote] payloads must hand over fresh rows it does not mutate
      afterwards — every in-repo strategy does. *)
-  let receive ~round ~inbox st =
+  let store ~round ~inbox st =
     match round with
     | 1 ->
         Inbox.iter
           (fun sender -> function
             | Value v -> st.heard.(sender) <- Some v
             | Echo _ | Vote _ -> ())
-          inbox;
-        st
+          inbox
     | 2 ->
         Inbox.iter
           (fun sender -> function
             | Echo row when Array.length row = st.n -> st.echoes.(sender) <- row
             | Echo _ | Value _ | Vote _ -> ())
-          inbox;
-        st
+          inbox
     | 3 ->
         Inbox.iter
           (fun sender -> function
             | Vote row when Array.length row = st.n -> st.votes.(sender) <- row
             | Vote _ | Value _ | Echo _ -> ())
-          inbox;
-        let m = st.share.grades in
-        let finished =
-          if hits m ~t:st.t st.votes then m.out
-          else begin
-            let first = Array.make st.n 0 and count = Array.make st.n 0 in
-            let finished =
-              Array.init st.n (fun leader ->
-                  match plurality ~first ~count st.votes leader with
-                  | -1 -> { value = None; grade = G0 }
-                  | w ->
-                      let c = count.(w) in
-                      if c >= st.n - st.t then
-                        { value = Some (entry st.votes first.(w) leader); grade = G2 }
-                      else if c >= st.t + 1 then
-                        { value = Some (entry st.votes first.(w) leader); grade = G1 }
-                      else { value = None; grade = G0 })
-            in
-            st.share.grades <- { mt = st.t; rows = Array.copy st.votes; out = finished };
-            finished
-          end
-        in
-        (if Aat_telemetry.Telemetry.Probe.active () then begin
-           let g0 = ref 0 and g1 = ref 0 and g2 = ref 0 in
-           Array.iter
-             (fun r ->
-               match r.grade with
-               | G0 -> incr g0
-               | G1 -> incr g1
-               | G2 -> incr g2)
-             finished;
-           Aat_telemetry.Telemetry.Probe.grade_histogram ~g0:!g0 ~g1:!g1 ~g2:!g2
-         end);
-        { st with finished = Some finished }
+          inbox
     | _ -> invalid_arg "Gradecast.Multi.receive: round out of range"
+
+  (* Round 3's per-leader results once the votes are stored. The array
+     may be the share's memo, so no caller writes into it. *)
+  let grade st =
+    let m = st.share.grades in
+    let finished =
+      if hits m ~t:st.t st.votes then m.out
+      else begin
+        let first = Array.make st.n 0 and count = Array.make st.n 0 in
+        let finished =
+          Array.init st.n (fun leader ->
+              match plurality ~first ~count st.votes leader with
+              | -1 -> { value = None; grade = G0 }
+              | w ->
+                  let c = count.(w) in
+                  if c >= st.n - st.t then
+                    { value = Some (entry st.votes first.(w) leader); grade = G2 }
+                  else if c >= st.t + 1 then
+                    { value = Some (entry st.votes first.(w) leader); grade = G1 }
+                  else { value = None; grade = G0 })
+        in
+        st.share.grades <- { mt = st.t; rows = Array.copy st.votes; out = finished };
+        finished
+      end
+    in
+    (if Aat_telemetry.Telemetry.Probe.active () then begin
+       let g0 = ref 0 and g1 = ref 0 and g2 = ref 0 in
+       Array.iter
+         (fun r ->
+           match r.grade with
+           | G0 -> incr g0
+           | G1 -> incr g1
+           | G2 -> incr g2)
+         finished;
+       Aat_telemetry.Telemetry.Probe.grade_histogram ~g0:!g0 ~g1:!g1 ~g2:!g2
+     end);
+    finished
+
+  let receive ~round ~inbox st =
+    store ~round ~inbox st;
+    if round = 3 then { st with finished = Some (grade st) } else st
 
   let results st =
     match st.finished with
@@ -241,6 +247,60 @@ module Multi = struct
     | Some r -> Array.copy r
     | None -> invalid_arg "Gradecast.Multi.results: protocol not finished"
 end
+
+type ('s, 'v, 'o) iterated = {
+  local : 's;
+  batch : 'v Multi.state;
+  left : int; (* batches to run, the current one included *)
+  decided : 'o option;
+}
+
+let current st = st.local
+
+let iterated ~name ?(share = Multi.share ()) ?skip ~t ~iterations ~init ~own
+    ~step ~output () =
+  let init ~self ~n =
+    let local = init ~self ~n in
+    {
+      local;
+      batch = Multi.start ~share ~n ~t ~self ~own:(own local);
+      left = iterations;
+      decided = (if iterations <= 0 then Some (output local) else None);
+    }
+  in
+  let sub round = ((round - 1) mod Multi.rounds) + 1 in
+  let send ~round ~self:_ st =
+    match st.decided with
+    | Some _ -> Protocol.To []
+    | None -> Multi.send ~round:(sub round) st.batch
+  in
+  let receive ~round ~self:_ ~inbox st =
+    match st.decided with
+    | Some _ -> st
+    | None -> (
+        let inbox =
+          match skip with
+          | None -> inbox
+          | Some skip ->
+              let skipped = skip st.local in
+              Inbox.filter (fun p -> not skipped.(p)) inbox
+        in
+        let round = sub round in
+        Multi.store ~round ~inbox st.batch;
+        if round < Multi.rounds then st
+        else
+          match step st.local (Multi.grade st.batch) with
+          | `Next local when st.left > 1 ->
+              {
+                local;
+                batch = Multi.next st.batch ~own:(own local);
+                left = st.left - 1;
+                decided = None;
+              }
+          | `Next local | `Stop local ->
+              { st with local; decided = Some (output local) })
+  in
+  { Protocol.name; init; send; receive; output = (fun st -> st.decided) }
 
 let protocol ~leader ~inputs ~t =
   let share = Multi.share () in

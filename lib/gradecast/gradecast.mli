@@ -35,8 +35,9 @@ type 'v result = { value : 'v option; grade : grade }
 
 module Multi : sig
   (** Composable [n]-leader gradecast: 3 rounds, each party the leader of
-      instance [i] for its own id [i]. Embed these functions into a larger
-      protocol's state machine (RealAA calls one [Multi] per iteration). *)
+      instance [i] for its own id [i]. {!iterated} embeds these functions
+      as the one batch loop every gradecast-based protocol runs; the tests
+      drive them directly. *)
 
   (** The wire format is deliberately public: Byzantine strategies in
       [Aat_adversary] forge these constructors, which is exactly what a
@@ -80,8 +81,45 @@ module Multi : sig
   val results : 'v state -> 'v result array
   (** Per-leader outcomes, in a fresh array (the state's may be shared
       with other parties); only meaningful after round 3's [receive].
-      Raises [Invalid_argument] before that. *)
+      Raises [Invalid_argument] before that. {!iterated} does not copy. *)
 end
+
+type ('s, 'v, 'o) iterated
+(** A party's state under {!iterated}: its own state ['s], its running
+    {!Multi} batch and, once decided, its output. *)
+
+val current : ('s, 'v, 'o) iterated -> 's
+(** The party's own state, as [step] last returned it (or [init] made
+    it). *)
+
+val iterated :
+  name:string ->
+  ?share:'v Multi.share ->
+  ?skip:('s -> bool array) ->
+  t:int ->
+  iterations:int ->
+  init:(self:Types.party_id -> n:int -> 's) ->
+  own:('s -> 'v) ->
+  step:('s -> 'v result array -> [ `Next of 's | `Stop of 's ]) ->
+  output:('s -> 'o) ->
+  unit ->
+  (('s, 'v, 'o) iterated, 'v Multi.msg, 'o) Protocol.t
+(** The iteration of Ben-Or–Dolev–Hoch ([6]) as one protocol: each
+    party gradecasts [own s] in a {!Multi} batch of 3 rounds, folds the
+    batch's per-leader results into its next state with [step], and
+    repeats, for at most [iterations] batches. A party decides
+    [output s] when [step] returns [`Stop s], when [step] returns
+    [`Next s] after the last batch, or at [init] when
+    [iterations <= 0]; a decided party sends nothing.
+
+    - [step] reads the results array in place, with no copy. The array
+      may be the share's memo, handed to every party whose vote table
+      matched, so [step] must never write into it, then or later.
+    - [skip s] is the party's array of senders to ignore: a letter from
+      [p] with [(skip s).(p)] is dropped before the batch reads it (the
+      RealAA blacklist). Without [skip] every letter is read.
+    - Every party runs its batches on [share], by default one made for
+      this protocol value. *)
 
 (** Single-leader gradecast as a standalone {!Protocol.t}, used by the test
     suite to validate the gradecast properties in isolation. Every party

@@ -1,6 +1,5 @@
 open Aat_engine
 open Aat_gradecast
-module Multi = Gradecast.Multi
 
 type result = {
   value : float;
@@ -14,61 +13,26 @@ type knobs = { blacklist : bool; adaptive_trim : bool; averaging : averaging }
 
 let faithful = { blacklist = true; adaptive_trim = true; averaging = Mean }
 
-type state = {
-  n : int;
-  t : int;
-  knobs : knobs;
-  value : float;
-  iterations_left : int;
-  mstate : float Multi.state;
-  faulty : bool array;
-  trajectory_rev : float list;
-  decided : result option;
-}
+(* A party's running value, its blacklist and its values after each
+   iteration, newest first. *)
+type local = { value : float; faulty : bool array; trajectory_rev : float list }
 
-let decide st =
+type 'o state = (local, float, 'o) Gradecast.iterated
+
+let decide st : result =
   {
-    st with
-    decided =
-      Some
-        {
-          value = st.value;
-          trajectory = List.rev st.trajectory_rev;
-          blacklisted =
-            List.filter (fun p -> st.faulty.(p)) (List.init st.n Fun.id);
-        };
+    value = st.value;
+    trajectory = List.rev st.trajectory_rev;
+    blacklisted =
+      List.filter (fun p -> st.faulty.(p)) (List.init (Array.length st.faulty) Fun.id);
   }
-
-let sub_round round = ((round - 1) mod 3) + 1
-
-let init ~share ~knobs ~inputs ~t ~iterations ~self ~n =
-  let value = inputs self in
-  let st =
-    {
-      n;
-      t;
-      knobs;
-      value;
-      iterations_left = iterations;
-      mstate = Multi.start ~share ~n ~t ~self ~own:value;
-      faulty = Array.make n false;
-      trajectory_rev = [];
-      decided = None;
-    }
-  in
-  if iterations <= 0 then decide st else st
-
-let send ~round st =
-  match st.decided with
-  | Some _ -> Protocol.To []
-  | None -> Multi.send ~round:(sub_round round) st.mstate
 
 (* End of one iteration.
 
    Inclusion and blacklisting follow [6]: a value is used whenever its
    gradecast returned grade >= 1, and a leader graded <= 1 is blacklisted —
-   all its future messages are ignored (see [receive]), which drives all its
-   future gradecasts to grade 0 at every honest party.
+   all its future messages are ignored (the driver's [skip]), which drives
+   all its future gradecasts to grade 0 at every honest party.
 
    Why this gives "each Byzantine party causes an inconsistency at most
    once": an inclusion split (some honest party uses the value, another does
@@ -78,10 +42,10 @@ let send ~round st =
    the leader together. A 2/1 grade split is NOT an inconsistency — both
    parties include the (identical) value that iteration, and the leader's
    subsequent instances are driven to a consistent fate. *)
-let finish_iteration st =
-  let results = Multi.results st.mstate in
+let step ~knobs ~t st (results : float Gradecast.result array) =
+  let n = Array.length results in
   let faulty = Array.copy st.faulty in
-  if st.knobs.blacklist then
+  if knobs.blacklist then
     Array.iteri
       (fun leader (r : float Gradecast.result) ->
         match r.grade with
@@ -95,7 +59,7 @@ let finish_iteration st =
   in
   (* The included values in leader order, unboxed. *)
   let values = Array.create_float included and k = ref 0 in
-  for leader = 0 to Array.length results - 1 do
+  for leader = 0 to n - 1 do
     match results.(leader).Gradecast.value with
     | Some v ->
         values.(!k) <- v;
@@ -109,12 +73,10 @@ let finish_iteration st =
      full [t] the window would shrink as parties get blacklisted and a
      single planted value could move the mean by half the range, breaking
      the per-iteration factor of Lemma 5. *)
-  let excluded = st.n - included in
-  let t_eff =
-    if st.knobs.adaptive_trim then max 0 (st.t - excluded) else st.t
-  in
+  let excluded = n - included in
+  let t_eff = if knobs.adaptive_trim then max 0 (t - excluded) else t in
   let averaged =
-    match st.knobs.averaging with
+    match knobs.averaging with
     | Mean -> Trim.trimmed_mean_array ~t:t_eff values
     | Midpoint -> Trim.trimmed_midpoint ~t:t_eff (Array.to_list values)
   in
@@ -123,51 +85,42 @@ let finish_iteration st =
     | Some v -> v
     | None -> st.value (* too few values survive: keep the old value *)
   in
-  let st =
-    {
-      st with
-      value;
-      faulty;
-      trajectory_rev = value :: st.trajectory_rev;
-      iterations_left = st.iterations_left - 1;
-    }
+  `Next { value; faulty; trajectory_rev = value :: st.trajectory_rev }
+
+let observe st = Some (Gradecast.current st).value
+
+(* "Ignore p̃ in all future iterations": [skip] drops letters from
+   blacklisted parties before the gradecast logic sees them, which forces
+   grade 0 for their instances at every honest party. *)
+let realaa ?share ~name ~knobs ~inputs ~t ~iterations ~output () =
+  Gradecast.iterated ~name ?share
+    ~skip:(fun st -> st.faulty)
+    ~t ~iterations
+    ~init:(fun ~self ~n ->
+      { value = inputs self; faulty = Array.make n false; trajectory_rev = [] })
+    ~own:(fun st -> st.value)
+    ~step:(step ~knobs ~t) ~output ()
+
+let protocol ?share ?(knobs = faithful) ~inputs ~t ~iterations () =
+  realaa ?share ~name:"realaa-bdh" ~knobs ~inputs ~t ~iterations ~output:decide ()
+
+let on_index ?share ?(name = "realaa-bdh") ?iterations ~length ~position ~at ~t
+    () =
+  let iterations =
+    match iterations with
+    | Some i -> i
+    | None -> Rounds.bdh_iterations ~range:(float_of_int (length - 1)) ~eps:1.
   in
-  if st.iterations_left <= 0 then decide st
-  else { st with mstate = Multi.next st.mstate ~own:value }
-
-let receive ~round ~inbox st =
-  match st.decided with
-  | Some _ -> st
-  | None ->
-      let sub = sub_round round in
-      (* "Ignore p̃ in all future iterations": messages from blacklisted
-         parties are skipped before the gradecast logic sees them, which
-         forces grade 0 for their instances at every honest party. *)
-      let inbox = Inbox.filter (fun sender -> not st.faulty.(sender)) inbox in
-      let mstate = Multi.receive ~round:sub ~inbox st.mstate in
-      let st = { st with mstate } in
-      if sub = 3 then finish_iteration st else st
-
-let observe st = Some st.value
-
-let protocol ?(share = Multi.share ()) ?(knobs = faithful) ~inputs ~t
-    ~iterations () =
-  {
-    Protocol.name = "realaa-bdh";
-    init = (fun ~self ~n -> init ~share ~knobs ~inputs ~t ~iterations ~self ~n);
-    send = (fun ~round ~self:_ st -> send ~round st);
-    receive = (fun ~round ~self:_ ~inbox st -> receive ~round ~inbox st);
-    output = (fun st -> st.decided);
-  }
+  (* Remark 1 keeps closestInt inside the honest positions; the clamp is
+     for TreeAA's phase two, whose own path may end before it (line 6). *)
+  realaa ?share ~name ~knobs:faithful
+    ~inputs:(fun self -> float_of_int (position self))
+    ~t ~iterations
+    ~output:(fun st ->
+      at (max 0 (min (length - 1) (Closest_int.closest_int st.value))))
+    ()
 
 let simple ~inputs ~t ~iterations =
   Protocol.map_output
     (fun (r : result) -> r.value)
     (protocol ~inputs ~t ~iterations ())
-
-let run ?(seed = 0) ?telemetry ?knobs ~inputs ~t ~iterations ~adversary () =
-  let n = Array.length inputs in
-  Sync_engine.run ~n ~t ~seed ?telemetry ~observe
-    ~max_rounds:(max 1 (3 * iterations))
-    ~protocol:(protocol ?knobs ~inputs:(fun self -> inputs.(self)) ~t ~iterations ())
-    ~adversary ()

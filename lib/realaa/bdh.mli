@@ -38,7 +38,8 @@ type result = {
   blacklisted : Types.party_id list;  (** convicted equivocators *)
 }
 
-type state
+type 'o state
+(** A party's state in a RealAA protocol that outputs ['o]. *)
 
 type averaging = Mean | Midpoint
 
@@ -60,7 +61,7 @@ type knobs = { blacklist : bool; adaptive_trim : bool; averaging : averaging }
 
 val faithful : knobs
 
-val observe : state -> float option
+val observe : 'o state -> float option
 (** The party's current value — pass as [Sync_engine.run ~observe] to record
     per-round honest-value snapshots (convergence curves) in telemetry. *)
 
@@ -71,33 +72,36 @@ val protocol :
   t:int ->
   iterations:int ->
   unit ->
-  (state, float Gradecast.Multi.msg, result) Protocol.t
+  (result state, float Gradecast.Multi.msg, result) Protocol.t
 (** [iterations] is normally [Rounds.bdh_iterations ~range ~eps] for the
     public input-range bound; the protocol terminates after exactly
     [3 * iterations] rounds. [knobs] defaults to {!faithful}. Every party
-    runs its gradecasts on [share], by default one made for this protocol
-    value; TreeAA passes one to the phase-two protocol each party builds. *)
+    runs its gradecasts on [share] ({!Gradecast.iterated}'s default is
+    one made for this protocol value). *)
+
+val on_index :
+  ?share:float Gradecast.Multi.share ->
+  ?name:string ->
+  ?iterations:int ->
+  length:int ->
+  position:(Types.party_id -> int) ->
+  at:(int -> 'a) ->
+  t:int ->
+  unit ->
+  ('a state, float Gradecast.Multi.msg, 'a) Protocol.t
+(** RealAA(1) on the positions [0 .. length - 1], the machinery of
+    Sections 4–7: each party joins the faithful protocol with
+    [position self] and outputs [at c], where [c] is [closestInt] of its
+    real result clamped into [0 .. length - 1]. Remark 1 keeps [c]
+    inside the honest positions; the clamp matters for TreeAA's phase
+    two, where a party's own path may be one vertex shorter than the
+    index it reaches (line 6). [iterations] defaults to
+    [Rounds.bdh_iterations ~range:(length - 1) ~eps:1.]; [name] to
+    ["realaa-bdh"]; [share] as for {!protocol}. *)
 
 val simple :
   inputs:(Types.party_id -> float) ->
   t:int ->
   iterations:int ->
-  (state, float Gradecast.Multi.msg, float) Protocol.t
+  (result state, float Gradecast.Multi.msg, float) Protocol.t
 (** {!protocol} projected to just the output value. *)
-
-val run :
-  ?seed:int ->
-  ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  ?knobs:knobs ->
-  inputs:float array ->
-  t:int ->
-  iterations:int ->
-  adversary:float Gradecast.Multi.msg Adversary.t ->
-  unit ->
-  (result, float Gradecast.Multi.msg) Sync_engine.report
-(** Convenience wrapper implementing the unified Runner signature
-    ([~seed ?telemetry ~adversary] + protocol config, like
-    [Tree_aa.run]): [inputs.(i)] is party [i]'s input,
-    [n = Array.length inputs], [max_rounds] pinned to the fixed
-    [3 * iterations] schedule, {!observe} installed for telemetered
-    convergence snapshots. *)

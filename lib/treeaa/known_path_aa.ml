@@ -1,7 +1,7 @@
 open Aat_tree
 open Aat_realaa
 
-type state = Bdh.state
+type state = Labeled_tree.vertex Bdh.state
 
 let rounds ~path =
   Rounds.bdh_rounds ~range:(float_of_int (Array.length path - 1)) ~eps:1.
@@ -9,26 +9,9 @@ let rounds ~path =
 let protocol ~tree ~path ~inputs ~t =
   if not (Paths.is_path tree path) then
     invalid_arg "Known_path_aa: not a path of the tree";
-  let k = Array.length path in
   let rooted = Rooted.make tree in
-  let iterations =
-    Rounds.bdh_iterations ~range:(float_of_int (k - 1)) ~eps:1.
-  in
-  let real_inputs self =
-    float_of_int (Projection.onto_path_index rooted path (inputs self))
-  in
-  let to_vertex (r : Bdh.result) =
-    let c = Closest_int.closest_int r.value in
-    path.(max 0 (min (k - 1) c))
-  in
-  let base = Bdh.protocol ~inputs:real_inputs ~t ~iterations () in
-  { (Aat_engine.Protocol.map_output to_vertex base) with name = "known-path-aa" }
+  Bdh.on_index ~name:"known-path-aa" ~length:(Array.length path)
+    ~position:(fun self -> Projection.onto_path_index rooted path (inputs self))
+    ~at:(Array.get path) ~t ()
 
 let observe = Bdh.observe
-
-let run ?(seed = 0) ?telemetry ~tree ~path ~inputs ~t ~adversary () =
-  let n = Array.length inputs in
-  Aat_engine.Sync_engine.run ~n ~t ~seed ?telemetry ~observe
-    ~max_rounds:(max 1 (rounds ~path))
-    ~protocol:(protocol ~tree ~path ~inputs:(fun self -> inputs.(self)) ~t)
-    ~adversary ()

@@ -27,17 +27,4 @@ val rounds : path:Paths.path -> int
 
 val observe : state -> float option
 (** The party's current RealAA value (its projection's position on the
-    known path) — installed by {!run} for telemetered snapshots. *)
-
-val run :
-  ?seed:int ->
-  ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  tree:Labeled_tree.t ->
-  path:Paths.path ->
-  inputs:Labeled_tree.vertex array ->
-  t:int ->
-  adversary:float Gradecast.Multi.msg Adversary.t ->
-  unit ->
-  (Labeled_tree.vertex, float Gradecast.Multi.msg) Sync_engine.report
-(** Unified Runner signature (like [Tree_aa.run]): [inputs.(i)] is party
-    [i]'s input vertex, [max_rounds] pinned to the fixed schedule. *)
+    known path), for [Sync_engine.run ~observe] snapshots. *)

@@ -1,17 +1,12 @@
 open Aat_tree
 open Aat_engine
 open Aat_gradecast
-module Multi = Gradecast.Multi
 
-type state = {
-  t : int;
-  tree : Labeled_tree.t;
-  rooted : Rooted.t;
-  vertex : Labeled_tree.vertex;
-  iterations_left : int;
-  mstate : Labeled_tree.vertex Multi.state;
-  decided : Labeled_tree.vertex option;
-}
+type state =
+  ( Labeled_tree.vertex,
+    Labeled_tree.vertex,
+    Labeled_tree.vertex )
+  Gradecast.iterated
 
 (* v is safe iff no component of T - v can swallow an (m - t)-subset of the
    multiset: every component must hold <= m - t - 1 elements. Component
@@ -94,67 +89,26 @@ let iterations_for tree =
 
 let rounds ~tree = 3 * iterations_for tree
 
-let sub_round round = ((round - 1) mod 3) + 1
-
-let finish_iteration st =
-  let results = Multi.results st.mstate in
+(* One iteration: move to the center of the safe area of the vertices
+   graded >= 1 (out-of-tree values dropped). *)
+let step ~rooted ~t vertex results =
+  let n_vertices = Labeled_tree.n_vertices (Rooted.tree rooted) in
   let multiset =
     Array.to_list results
     |> List.filter_map (fun (r : Labeled_tree.vertex Gradecast.result) ->
            match r.value with
-           | Some v when v >= 0 && v < Labeled_tree.n_vertices st.tree -> Some v
+           | Some v when v >= 0 && v < n_vertices -> Some v
            | Some _ | None -> None)
   in
-  let vertex =
-    match safe_vertices st.rooted ~t:st.t multiset with
-    | [] -> st.vertex (* unreachable for n > 3t *)
-    | safe -> center_of st.rooted safe
-  in
-  let left = st.iterations_left - 1 in
-  if left <= 0 then { st with vertex; iterations_left = left; decided = Some vertex }
-  else
-    {
-      st with
-      vertex;
-      iterations_left = left;
-      mstate = Multi.next st.mstate ~own:vertex;
-    }
+  match safe_vertices rooted ~t multiset with
+  | [] -> `Next vertex (* unreachable for n > 3t *)
+  | safe -> `Next (center_of rooted safe)
 
 let protocol ~tree ~inputs ~t ~iterations =
   let rooted = Rooted.make tree in
-  let share = Multi.share () in
-  {
-    Protocol.name = "nr-baseline";
-    init =
-      (fun ~self ~n ->
-        let vertex = inputs self in
-        let st =
-          {
-            t;
-            tree;
-            rooted;
-            vertex;
-            iterations_left = iterations;
-            mstate = Multi.start ~share ~n ~t ~self ~own:vertex;
-            decided = None;
-          }
-        in
-        if iterations <= 0 then { st with decided = Some vertex } else st);
-    send =
-      (fun ~round ~self:_ st ->
-        match st.decided with
-        | Some _ -> Protocol.To []
-        | None -> Multi.send ~round:(sub_round round) st.mstate);
-    receive =
-      (fun ~round ~self:_ ~inbox st ->
-        match st.decided with
-        | Some _ -> st
-        | None ->
-            let sub = sub_round round in
-            let st = { st with mstate = Multi.receive ~round:sub ~inbox st.mstate } in
-            if sub = 3 then finish_iteration st else st);
-    output = (fun st -> st.decided);
-  }
+  Gradecast.iterated ~name:"nr-baseline" ~t ~iterations
+    ~init:(fun ~self ~n:_ -> inputs self)
+    ~own:Fun.id ~step:(step ~rooted ~t) ~output:Fun.id ()
 
 let run ?(seed = 0) ?telemetry ~tree ~inputs ~t ~adversary () =
   let n = Array.length inputs in

@@ -1,7 +1,7 @@
 open Aat_tree
 open Aat_realaa
 
-type state = Bdh.state
+type state = Labeled_tree.vertex Bdh.state
 
 let canonical_order path_tree =
   let n = Labeled_tree.n_vertices path_tree in
@@ -21,30 +21,10 @@ let rounds ~path =
 
 let protocol ~path ~inputs ~t =
   let order = canonical_order path in
-  let k = Array.length order in
-  let position = Array.make k 0 in
+  let position = Array.make (Array.length order) 0 in
   Array.iteri (fun idx v -> position.(v) <- idx) order;
-  let iterations =
-    Rounds.bdh_iterations ~range:(float_of_int (k - 1)) ~eps:1.
-  in
-  let real_inputs self = float_of_int position.(inputs self) in
-  let to_vertex (r : Bdh.result) =
-    (* Remark 1 keeps closestInt inside the honest positions, hence inside
-       [0, k-1]; the clamp is belt-and-braces for NaN-free robustness. *)
-    let c = Closest_int.closest_int r.value in
-    order.(max 0 (min (k - 1) c))
-  in
-  let base = Bdh.protocol ~inputs:real_inputs ~t ~iterations () in
-  {
-    (Aat_engine.Protocol.map_output to_vertex base) with
-    name = "path-aa";
-  }
+  Bdh.on_index ~name:"path-aa" ~length:(Array.length order)
+    ~position:(fun self -> position.(inputs self))
+    ~at:(Array.get order) ~t ()
 
 let observe = Bdh.observe
-
-let run ?(seed = 0) ?telemetry ~path ~inputs ~t ~adversary () =
-  let n = Array.length inputs in
-  Aat_engine.Sync_engine.run ~n ~t ~seed ?telemetry ~observe
-    ~max_rounds:(max 1 (rounds ~path))
-    ~protocol:(protocol ~path ~inputs:(fun self -> inputs.(self)) ~t)
-    ~adversary ()

@@ -28,18 +28,5 @@ val canonical_order : Labeled_tree.t -> Paths.path
     lower-labeled endpoint. *)
 
 val observe : state -> float option
-(** The party's current RealAA value (its position on the path) — installed
-    by {!run} for telemetered convergence snapshots. *)
-
-val run :
-  ?seed:int ->
-  ?telemetry:Aat_telemetry.Telemetry.Sink.t ->
-  path:Labeled_tree.t ->
-  inputs:Labeled_tree.vertex array ->
-  t:int ->
-  adversary:float Gradecast.Multi.msg Adversary.t ->
-  unit ->
-  (Labeled_tree.vertex, float Gradecast.Multi.msg) Sync_engine.report
-(** Unified Runner signature (like [Tree_aa.run]): [inputs.(i)] is party
-    [i]'s input vertex, [n = Array.length inputs], [max_rounds] pinned to
-    the fixed schedule. *)
+(** The party's current RealAA value (its position on the path), for
+    [Sync_engine.run ~observe] convergence snapshots. *)

@@ -5,11 +5,13 @@ open Aat_realaa
 
 type msg = (float Gradecast.Multi.msg, float Gradecast.Multi.msg) Composed.msg
 
+type phase2 = Labeled_tree.vertex Bdh.state
+
 type inner =
   ( Paths_finder.state,
     Paths.path,
-    Bdh.state,
-    (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t )
+    phase2,
+    (phase2, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t )
   Composed.state
 
 type state = Trivial of Labeled_tree.vertex | Running of inner
@@ -22,22 +24,6 @@ let trivial ~inputs : (state, msg, Labeled_tree.vertex) Protocol.t =
     receive = (fun ~round:_ ~self:_ ~inbox:_ st -> st);
     output = (function Trivial v -> Some v | Running _ -> None);
   }
-
-let phase2 ~share ~rooted ~inputs ~t ~iterations own_path :
-    (Bdh.state, float Gradecast.Multi.msg, Labeled_tree.vertex) Protocol.t =
-  let k = Array.length own_path in
-  let real_inputs self =
-    float_of_int (Projection.onto_path_index rooted own_path (inputs self))
-  in
-  let to_vertex (r : Bdh.result) =
-    (* Line 6 of TreeAA: an index past one's own (shorter) path resolves to
-       the path's last vertex — the paper's proof shows all honest outputs
-       then land on the two adjacent candidates v_{k*} and v_{k*+1}. *)
-    let c = Closest_int.closest_int r.value in
-    own_path.(max 0 (min (k - 1) c))
-  in
-  Protocol.map_output to_vertex
-    (Bdh.protocol ~share ~inputs:real_inputs ~t ~iterations ())
 
 let rounds ~tree =
   let d = Metrics.diameter tree in
@@ -60,7 +46,15 @@ let protocol ~tree ~inputs ~t : (state, msg, Labeled_tree.vertex) Protocol.t =
       Protocol.sequential ~name:"tree-aa" ~first
         ~rounds_of_first:(max 1 (Paths_finder.rounds ~tree))
         ~second:(fun own_path ->
-          phase2 ~share ~rooted ~inputs ~t ~iterations:iterations2 own_path)
+          (* Line 6 of TreeAA: an index past one's own (shorter) path
+             resolves to the path's last vertex — the paper's proof shows
+             all honest outputs then land on the two adjacent candidates
+             v_{k*} and v_{k*+1}. *)
+          Bdh.on_index ~share ~iterations:iterations2
+            ~length:(Array.length own_path)
+            ~position:(fun self ->
+              Projection.onto_path_index rooted own_path (inputs self))
+            ~at:(Array.get own_path) ~t ())
     in
     {
       name = "tree-aa";
