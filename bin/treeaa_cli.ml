@@ -171,6 +171,13 @@ let run_cmd =
   in
   let action tree n t adv_name inputs_spec seed trace_out fault_plan_str watch =
     let ( let* ) = Result.bind in
+    (* t from n/3 up stays legal: such runs are graded, not refused. *)
+    let* () =
+      if n < 1 then Error (Printf.sprintf "bad -n %d: there must be at least one party" n)
+      else if t < 0 || t >= n then
+        Error (Printf.sprintf "bad -t %d: the budget needs 0 <= t < n = %d" t n)
+      else Ok ()
+    in
     let* inputs =
       match inputs_spec with
       | None ->
@@ -504,7 +511,7 @@ let campaign_run_cmd =
               adversary;
               faults;
               watchdogs;
-              repetitions = max 0 reps;
+              repetitions = reps;
               base_seed = seed;
             }
     in

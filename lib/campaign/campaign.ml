@@ -145,10 +145,20 @@ module Spec = struct
           (Float.log10 Float.max_float) log10_min log10_max
     | _ -> Ok ()
 
-  (* Every cell draws n >= max 1 lo; a fixed t at or above that leaves
-     some cell with t >= n, which the engines reject at instantiation. *)
+  (* Every cell draws n from [lo, hi]: a party count below 1 or an empty
+     range has no cell to run. *)
+  let validate_parties s =
+    match s.n with
+    | Exactly k | Between (k, _) when k < 1 ->
+        Printf.ksprintf Result.error "party count n = %d must be at least 1" k
+    | Between (lo, hi) when lo > hi ->
+        Printf.ksprintf Result.error "party count range %d-%d has LO > HI" lo hi
+    | Exactly _ | Between _ -> Ok ()
+
+  (* Every cell draws n >= lo; a fixed t at or above that leaves some cell
+     with t >= n, which the engines reject at instantiation. *)
   let validate_budget s =
-    let lo = match s.n with Exactly k | Between (k, _) -> max 1 k in
+    let lo = match s.n with Exactly k | Between (k, _) -> k in
     match s.t_budget with
     | Fixed_t t when t >= lo ->
         Printf.ksprintf Result.error
@@ -163,7 +173,8 @@ module Spec = struct
       match
         List.fold_left
           (fun acc check -> Result.bind acc (fun () -> check s))
-          (Ok ()) [ validate_reals; validate_faults; validate_budget ]
+          (Ok ())
+          [ validate_reals; validate_faults; validate_parties; validate_budget ]
       with
       | Error _ as e -> e
       | Ok () -> (
@@ -485,7 +496,7 @@ let instantiate (spec : Spec.t) ~task_seed =
   let rng = Rng.create task_seed in
   let vertex_setup () =
     let tree = draw_tree rng spec.tree in
-    let n = max 1 (draw_size rng spec.n) in
+    let n = draw_size rng spec.n in
     let t = draw_t rng ~n spec.t_budget in
     let inputs = draw_vertex_inputs rng ~n ~nv:(Tree.n_vertices tree) in
     (tree, n, t, inputs)
@@ -549,7 +560,7 @@ let instantiate (spec : Spec.t) ~task_seed =
           ~tree ~path ~inputs ~t ~adversary (),
         draw_engine_seed rng )
   | Spec.Real_aa { eps } ->
-      let n = max 1 (draw_size rng spec.n) in
+      let n = draw_size rng spec.n in
       let t = draw_t rng ~n spec.t_budget in
       let inputs, range = draw_real_inputs rng ~n spec.inputs in
       let iterations = max 1 (Rounds.bdh_iterations ~range ~eps) in
@@ -565,7 +576,7 @@ let instantiate (spec : Spec.t) ~task_seed =
           ~eps ~inputs ~t ~iterations ~adversary (),
         draw_engine_seed rng )
   | Spec.Iterated_midpoint { eps } ->
-      let n = max 1 (draw_size rng spec.n) in
+      let n = draw_size rng spec.n in
       let t = draw_t rng ~n spec.t_budget in
       let inputs, range = draw_real_inputs rng ~n spec.inputs in
       let iterations = max 1 (Rounds.halving_iterations ~range ~eps) in

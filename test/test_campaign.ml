@@ -358,6 +358,21 @@ let test_validate () =
       ("-n 4-6 -t 4", false, cli (Campaign.Spec.Between (4, 6)) 4);
       ("-n 4-6 -t 3", true, cli (Campaign.Spec.Between (4, 6)) 3);
       ("-n 7 -t 3", true, cli (Campaign.Spec.Exactly 7) 3);
+    ];
+  (* A party count below 1 or an empty range used to pass and then run
+     every cell at one party ([campaign -n 0 --reps 2]) or at LO
+     ([-n 5-3]). *)
+  let third n = { (cli n 0) with t_budget = Campaign.Spec.Up_to_third } in
+  List.iter
+    (fun (name, want, spec) ->
+      check name want (ok (Campaign.Spec.validate spec)))
+    [
+      ("-n 0", false, third (Campaign.Spec.Exactly 0));
+      ("-n -2", false, third (Campaign.Spec.Exactly (-2)));
+      ("-n 0-3", false, third (Campaign.Spec.Between (0, 3)));
+      ("-n 5-3", false, third (Campaign.Spec.Between (5, 3)));
+      ("-n 1", true, third (Campaign.Spec.Exactly 1));
+      ("-n 5-5", true, third (Campaign.Spec.Between (5, 5)));
     ]
 
 (* ------------------------------------------------------------------ *)
