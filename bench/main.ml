@@ -59,7 +59,7 @@ let convergence out_file =
       ignore
         (Tree_aa.run ~tree ~inputs ~t
            ~telemetry:(Telemetry.Stats.sink stats)
-           ~adversary:(Tables.spoiler_for_tree ~tree ~t)
+           ~adversary:(Campaign.tree_spoiler ~tree ~t)
            ());
       add (Printf.sprintf "treeaa-%s-spoiler" family) family stats)
     [

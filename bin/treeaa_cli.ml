@@ -97,23 +97,12 @@ let inspect_cmd =
 
 let adversary_conv tree t =
   let barrier = max 1 (Paths_finder.rounds ~tree) in
-  let nv = Tree.n_vertices tree in
   function
   | "none" -> Ok (Adversary.passive "none")
   | "silent" -> Ok (Strategies.random_silent ~count:t)
   | "crash" ->
       Ok (Strategies.crash ~at_round:(max 1 (barrier / 2)) ~victims:(List.init t Fun.id))
-  | "spoiler" ->
-      let iter1 =
-        Rounds.bdh_iterations ~range:(float_of_int ((2 * nv) - 2)) ~eps:1.
-      in
-      let iter2 =
-        Rounds.bdh_iterations ~range:(float_of_int (Metrics.diameter tree)) ~eps:1.
-      in
-      Ok
-        (Compose_adversary.phased ~name:"spoiler" ~barrier
-           ~first:(Spoiler.realaa_spoiler ~t ~iterations:iter1)
-           ~second:(Spoiler.realaa_spoiler ~t ~iterations:iter2))
+  | "spoiler" -> Ok (Campaign.tree_spoiler ~tree ~t)
   | "wedge" ->
       Ok
         (Compose_adversary.phased ~name:"wedge" ~barrier

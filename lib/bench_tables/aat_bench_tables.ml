@@ -208,18 +208,6 @@ let tree_verdict_of tree inputs (report : (_, _) Engine.report) =
     ~honest_inputs
     ~honest_outputs:(Report.honest_outputs report)
 
-let spoiler_for_tree ~tree ~t =
-  let nv = Tree.n_vertices tree in
-  let tour_len = (2 * nv) - 1 in
-  let iter1 = Rounds.bdh_iterations ~range:(float_of_int (tour_len - 1)) ~eps:1. in
-  let iter2 =
-    Rounds.bdh_iterations ~range:(float_of_int (Metrics.diameter tree)) ~eps:1.
-  in
-  Compose_adversary.phased ~name:"spoiler-both"
-    ~barrier:(max 1 (Paths_finder.rounds ~tree))
-    ~first:(Spoiler.realaa_spoiler ~t ~iterations:iter1)
-    ~second:(Spoiler.realaa_spoiler ~t ~iterations:iter2)
-
 let table_e2 () =
   let n = 10 and t = 3 in
   let families =
@@ -246,7 +234,7 @@ let table_e2 () =
         let run adversary = Tree_aa.run ~tree ~inputs ~t ~adversary () in
         let r_passive = run (Adversary.passive "none") in
         let r_silent = run (Strategies.silent ~victims:[ 7; 8; 9 ]) in
-        let r_spoiler = run (spoiler_for_tree ~tree ~t) in
+        let r_spoiler = run (Campaign.tree_spoiler ~tree ~t) in
         let verdicts =
           Verdict.conj
             (tree_verdict_of tree inputs r_passive)
@@ -349,7 +337,7 @@ let table_e4 () =
         let rng = Rng.create 11 in
         let inputs = Array.init n (fun _ -> Rng.int rng nv) in
         let r_tree =
-          Tree_aa.run ~tree ~inputs ~t ~adversary:(spoiler_for_tree ~tree ~t) ()
+          Tree_aa.run ~tree ~inputs ~t ~adversary:(Campaign.tree_spoiler ~tree ~t) ()
         in
         let r_nr =
           Nr_baseline.run ~tree ~inputs ~t

@@ -24,12 +24,6 @@ val print_table : title:string -> header:string list -> string list list -> unit
 (** Render a table to stdout (suppressed inside {!check_files}) and,
     when capturing, record it. *)
 
-val spoiler_for_tree :
-  tree:Treeagree.Tree.t -> t:int -> Treeagree.Tree_aa.msg Treeagree.Adversary.t
-(** The two-phase spoiler the TreeAA tables run under — the RealAA
-    spoiler attacking both the PathsFinder and the projection phase
-    (also used by the convergence-series export). *)
-
 val tables : workers:int -> distributed:bool -> (string * (unit -> unit)) list
 (** Every table group, keyed by the name used in [--table NAME] and in
     the BENCH file's ["table"] field. [workers] fans the parallel

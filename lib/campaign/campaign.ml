@@ -409,12 +409,11 @@ let tree_phase_shape ~tree =
   in
   (barrier, first_iterations, second_iterations)
 
-let tree_spoiler_thunk ~tree ~t =
+let tree_spoiler ~tree ~t =
   let barrier, first_iterations, second_iterations = tree_phase_shape ~tree in
-  fun () ->
-    Compose.phased ~name:"spoiler" ~barrier
-      ~first:(Spoiler.realaa_spoiler ~t ~iterations:first_iterations)
-      ~second:(Spoiler.realaa_spoiler ~t ~iterations:second_iterations)
+  Compose.phased ~name:"spoiler" ~barrier
+    ~first:(Spoiler.realaa_spoiler ~t ~iterations:first_iterations)
+    ~second:(Spoiler.realaa_spoiler ~t ~iterations:second_iterations)
 
 let tree_genome_thunk ~tree ~t ~n g =
   let barrier, first_iterations, second_iterations = tree_phase_shape ~tree in
@@ -429,14 +428,14 @@ let tree_aa_adversary rng ~tree ~t ~n ~rounds_hint family =
   in
   match family with
   | (Spec.Passive | Spec.Random_silent | Spec.Random_crash) as f -> generic f
-  | Spec.Tree_spoiler -> tree_spoiler_thunk ~tree ~t
+  | Spec.Tree_spoiler -> fun () -> tree_spoiler ~tree ~t
   | Spec.Synth_genome g -> tree_genome_thunk ~tree ~t ~n g
   | Spec.Any_tree_adversary -> (
       match Rng.int rng 4 with
       | 0 -> generic Spec.Passive
       | 1 -> generic Spec.Random_silent
       | 2 -> generic Spec.Random_crash
-      | _ -> tree_spoiler_thunk ~tree ~t)
+      | _ -> fun () -> tree_spoiler ~tree ~t)
   | Spec.Real_spoiler | Spec.Gradecast_wedge | Spec.Any_real_adversary ->
       incompatible ~protocol:"tree-aa" ~family:"real-valued"
 

@@ -162,6 +162,15 @@ val instantiate : Spec.t -> task_seed:int -> Runner.t * int
     attaching a per-task telemetry sink). Raises [Invalid_argument] on
     spec/protocol mismatches (see {!Spec.validate}). *)
 
+val tree_spoiler :
+  tree:Aat_tree.Labeled_tree.t ->
+  t:int ->
+  Aat_treeaa.Tree_aa.msg Aat_engine.Adversary.t
+(** The two-phase TreeAA spoiler: {!Aat_adversary.Spoiler.realaa_spoiler}
+    against PathsFinder, then against phase two, switching at the round
+    barrier. Campaign cells, the bench tables and [treeaa run -a spoiler]
+    all run this one. *)
+
 val run_cell :
   ?telemetry:(task:int -> Aat_telemetry.Telemetry.Sink.t option) ->
   ?profile:bool ->
