@@ -101,8 +101,8 @@ let realaa ?share ~name ~knobs ~inputs ~t ~iterations ~output () =
     ~own:(fun st -> st.value)
     ~step:(step ~knobs ~t) ~output ()
 
-let protocol ?share ?(knobs = faithful) ~inputs ~t ~iterations () =
-  realaa ?share ~name:"realaa-bdh" ~knobs ~inputs ~t ~iterations ~output:decide ()
+let protocol ?(knobs = faithful) ~inputs ~t ~iterations () =
+  realaa ~name:"realaa-bdh" ~knobs ~inputs ~t ~iterations ~output:decide ()
 
 let on_index ?share ?(name = "realaa-bdh") ?iterations ~length ~position ~at ~t
     () =

@@ -66,7 +66,6 @@ val observe : 'o state -> float option
     per-round honest-value snapshots (convergence curves) in telemetry. *)
 
 val protocol :
-  ?share:float Gradecast.Multi.share ->
   ?knobs:knobs ->
   inputs:(Types.party_id -> float) ->
   t:int ->
@@ -75,9 +74,7 @@ val protocol :
   (result state, float Gradecast.Multi.msg, result) Protocol.t
 (** [iterations] is normally [Rounds.bdh_iterations ~range ~eps] for the
     public input-range bound; the protocol terminates after exactly
-    [3 * iterations] rounds. [knobs] defaults to {!faithful}. Every party
-    runs its gradecasts on [share] ({!Gradecast.iterated}'s default is
-    one made for this protocol value). *)
+    [3 * iterations] rounds. [knobs] defaults to {!faithful}. *)
 
 val on_index :
   ?share:float Gradecast.Multi.share ->
@@ -96,8 +93,10 @@ val on_index :
     inside the honest positions; the clamp matters for TreeAA's phase
     two, where a party's own path may be one vertex shorter than the
     index it reaches (line 6). [iterations] defaults to
-    [Rounds.bdh_iterations ~range:(length - 1) ~eps:1.]; [name] to
-    ["realaa-bdh"]; [share] as for {!protocol}. *)
+    [Rounds.bdh_iterations ~range:(length - 1) ~eps:1.] and [name] to
+    ["realaa-bdh"]. Every party runs its gradecasts on [share], by
+    default one made for this protocol value; TreeAA passes one to the
+    phase-two protocol each party builds at the barrier. *)
 
 val simple :
   inputs:(Types.party_id -> float) ->

@@ -431,15 +431,17 @@ let test_setup_allocation () =
    [To_all] box, every layer reads its inbox in place through a view,
    the adversary's view lists the honest outbox only for a strategy that
    reads it, each party derives its phase-two protocol once, RealAA
-   trims an unboxed float array, and the parties of a run share each
-   round-3 vote and grading when their tables hold the same rows. That
-   costs about 13.5 words per letter passive and 14.1 under the
-   random-silent adversary, and 18.0 and 17.8 with every party counting
-   round 3 itself. Without the share, rebuilding the phase-two protocol
-   at every step took it to 21.1 and 21.4; rebuilding it, trimming
-   boxed lists and listing the view for every adversary cost 28.3 and
-   34.4; copying each outbox and inbox into lists at every layer as
-   well cost 57 and 64. *)
+   trims an unboxed float array, the parties of a run share each
+   round-3 vote and grading when their tables hold the same rows, and
+   the gradecast loop hands each party the grades without a copy. That
+   costs about 11.2 words per letter passive and 11.8 under the
+   random-silent adversary; 13.3 and 14.0 when each protocol copied the
+   grades and its own state at every step, and 18.0 and 17.8 with every
+   party counting round 3 itself. Without the share, rebuilding the
+   phase-two protocol at every step took it to 21.1 and 21.4;
+   rebuilding it, trimming boxed lists and listing the view for every
+   adversary cost 28.3 and 34.4; copying each outbox and inbox into
+   lists at every layer as well cost 57 and 64. *)
 let test_round_allocation () =
   let tree = Generate.star 9 in
   let inputs = Array.init 13 (fun i -> i mod 9) in
